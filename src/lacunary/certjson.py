@@ -1,12 +1,13 @@
 """Canonical JSON for certificates: byte-identical across runs and
-round-trips.
+round-trips.  `certificate_document` is the one statement of the schema.
 
-Rules: keys appear in the fixed documented order (insertion order is the
-schema; nothing is sorted), separators carry no whitespace, every
-integer is rendered as a decimal string (consumers with 64-bit JSON
-parsers must survive q_n with thousands of digits), rationals are
-{"num", "den"} string pairs, intervals are {"lo", "hi"} rational pairs.
-Output is ASCII with a single trailing newline.
+Rules: keys appear in the fixed order of `certificate_document`
+(insertion order is the schema; nothing is sorted), separators carry no
+whitespace, every integer is rendered as a decimal string (consumers
+with 64-bit JSON parsers must survive q_n with thousands of digits),
+rationals are {"num", "den"} string pairs, convergents are {"p", "q"},
+intervals are {"lo", "hi"} rational pairs.  Output is ASCII with a
+single trailing newline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ import json
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .interval import RationalInterval
+from .witness import IndexRecord, WitnessCertificate
+
+SCHEMA_VERSION = "1"
 
 # Certificates legitimately carry integers with 10**5+ digits; the
 # interpreter's int-to-str guard (CVE-2020-10735 mitigation) would refuse
@@ -36,6 +41,57 @@ def rat(x) -> dict:
 
 def interval(iv: RationalInterval) -> dict:
     return {"lo": rat(iv.lo), "hi": rat(iv.hi)}
+
+
+def certificate_document(cert: WitnessCertificate) -> dict:
+    """The canonical dict form of a certificate; key order is the schema."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": f"lacunary {__version__}",
+        "config": {
+            "g1": intstr(cert.g1),
+            "g2": intstr(cert.g2),
+            "a1": intstr(cert.a1),
+            "beta": rat(cert.beta),
+            "budget_bits": intstr(cert.budget_bits),
+            "op": cert.op.value,
+            "d": rat(cert.d),
+            "d_eff": rat(cert.d_eff),
+            "n_from": intstr(cert.n_from),
+            "n_to": intstr(cert.n_to),
+        },
+        "n0": None if cert.n0 is None else intstr(cert.n0),
+        "n0_error": cert.n0_error,
+        "threshold_checks": [{"n": intstr(t.n), "passed": t.passed}
+                             for t in cert.threshold_checks],
+        "records": [_record_entry(r) for r in cert.records],
+        "verdict": cert.verdict,
+    }
+
+
+def _record_entry(r: IndexRecord) -> dict:
+    return {
+        "n": intstr(r.n),
+        "error": r.error,
+        "notice": r.notice,
+        "convergent": None if r.convergent is None
+        else {"p": str(r.convergent.p), "q": str(r.convergent.q)},
+        "gap_bound": None if r.gap_bound is None else rat(r.gap_bound),
+        "gap": None if r.gap is None else interval(r.gap),
+        "bound_dominates": r.bound_dominates,
+        "roth": None if r.roth is None else {
+            "d_eff": rat(r.roth.d_eff),
+            "passed": r.roth.passed,
+            "tie": r.roth.tie,
+            "margin": r.roth.margin,
+            "depth": intstr(r.roth.depth),
+        },
+        "exponent": None if r.exponent_interval is None else interval(r.exponent_interval),
+        "forms": None if r.forms is None else {
+            "q_denominator_form": r.forms.q_denominator_form,
+            "p_denominator_form": r.forms.p_denominator_form,
+        },
+    }
 
 
 def dumps(doc) -> str:

@@ -4,17 +4,7 @@ deterministic reports and canonical certificate emission.
 Subcommands: digits, convergents, witness, measure, validate.
 Configuration comes from an optional JSON file (--config) overridden by
 flags; flags always win.  All output is UTF-8 with LF line endings.
-
-Certificate schema (canonical JSON, fixed key order):
-  schema_version, tool,
-  config{g1, g2, a1, beta, budget_bits, op, d, d_eff, n_from, n_to},
-  n0, n0_error,
-  threshold_checks[{n, passed}],
-  records[{n, error, notice, convergent{p, q}, gap_bound, gap{lo, hi},
-           bound_dominates, roth{d_eff, passed, tie, margin, depth},
-           exponent{lo, hi}, forms{q_denominator_form, p_denominator_form}}],
-  verdict
-Integers are decimal strings; rationals are {num, den} string pairs.
+The witness certificate schema lives in certjson.
 
 Exit codes: 0 success, 2 configuration error, 3 budget or precision
 error, 4 internal invariant violation.
@@ -31,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .certjson import dumps, interval, intstr, rat
+from .certjson import certificate_document, dumps
 from .errors import (
     ExponentBudgetExceeded,
     InsufficientDepth,
@@ -45,17 +35,7 @@ from .errors import (
 from .measure import AlgebraicTarget, approximation_measure, find_n1
 from .schedule import GrowthWindow, PowerSchedule, validate_growth
 from .series import LacunarySeries
-from .witness import (
-    CompositeNumber,
-    IndexRecord,
-    Op,
-    WitnessCertificate,
-    certify,
-    composite_convergent,
-    composite_digits,
-)
-
-SCHEMA_VERSION = "1"
+from .witness import CompositeNumber, Op, certify, composite_convergent, composite_digits
 
 
 @dataclass
@@ -103,7 +83,9 @@ def _parse_op(field: str, value) -> Op:
 
 
 def _parse_str(field: str, value) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise InvalidConfigError(field, f"expected a string, got {value!r}")
+    return value
 
 
 _FIELD_PARSERS = {
@@ -199,57 +181,6 @@ def cmd_witness(cfg: RunConfig) -> str:
     return dumps(certificate_document(cert))
 
 
-def certificate_document(cert: WitnessCertificate) -> dict:
-    """The canonical dict form of a certificate; key order is the schema."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": f"lacunary {__version__}",
-        "config": {
-            "g1": intstr(cert.g1),
-            "g2": intstr(cert.g2),
-            "a1": intstr(cert.a1),
-            "beta": rat(cert.beta),
-            "budget_bits": intstr(cert.budget_bits),
-            "op": cert.op.value,
-            "d": rat(cert.d),
-            "d_eff": rat(cert.d_eff),
-            "n_from": intstr(cert.n_from),
-            "n_to": intstr(cert.n_to),
-        },
-        "n0": None if cert.n0 is None else intstr(cert.n0),
-        "n0_error": cert.n0_error,
-        "threshold_checks": [{"n": intstr(t.n), "passed": t.passed}
-                             for t in cert.threshold_checks],
-        "records": [_record_entry(r) for r in cert.records],
-        "verdict": cert.verdict,
-    }
-
-
-def _record_entry(r: IndexRecord) -> dict:
-    return {
-        "n": intstr(r.n),
-        "error": r.error,
-        "notice": r.notice,
-        "convergent": None if r.convergent is None
-        else {"p": str(r.convergent.p), "q": str(r.convergent.q)},
-        "gap_bound": None if r.gap_bound is None else rat(r.gap_bound),
-        "gap": None if r.gap is None else interval(r.gap),
-        "bound_dominates": r.bound_dominates,
-        "roth": None if r.roth is None else {
-            "d_eff": rat(r.roth.d_eff),
-            "passed": r.roth.passed,
-            "tie": r.roth.tie,
-            "margin": r.roth.margin,
-            "depth": intstr(r.roth.depth),
-        },
-        "exponent": None if r.exponent_interval is None else interval(r.exponent_interval),
-        "forms": None if r.forms is None else {
-            "q_denominator_form": r.forms.q_denominator_form,
-            "p_denominator_form": r.forms.p_denominator_form,
-        },
-    }
-
-
 def cmd_measure(cfg: RunConfig) -> str:
     if cfg.d.denominator != 1 or cfg.d < 2:
         raise InvalidConfigError("d", f"degree must be an integer >= 2 here, got {cfg.d}")
@@ -338,18 +269,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidConfigError("out", f"cannot write {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        text = _COMMANDS[args.command](cfg)
+        _emit(_COMMANDS[args.command](cfg), cfg.out)
     except (InvalidConfigError, NonIntegralExponent) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -359,7 +293,6 @@ def main(argv=None) -> int:
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    _emit(text, cfg.out)
     return 0
 
 

@@ -8,9 +8,7 @@ denominator g**a_n is an invariant this module actively checks.
 Partial sums are materialized on demand: q_n has Theta(a_n) digits, so
 construction of g**e is gated by MATERIALIZE_BITS.  Tail bounds come in
 two grades: the citable pair (1/g**a_{n+1}, 2/g**a_{n+1}) and the
-tighter certified bound g/(g-1) * g**(-a_{n+1}); when a_{n+1} is beyond
-reach the certified bound falls back to exponent 2*a_n, which is always
-valid because each schedule step at least doubles the exponent.
+tighter certified bound g/(g-1) * g**(-a_{n+1}) behind every enclosure.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
+        self._enclosures: dict[int, RationalInterval] = {}
 
     def __repr__(self) -> str:
         return f"LacunarySeries(base={self.base}, schedule={self.schedule!r})"
@@ -93,51 +92,55 @@ class LacunarySeries:
         return Fraction(1, step), Fraction(2, step)
 
     def rigorous_tail_upper(self, n: int) -> Fraction:
-        """Certified bound g/(g-1) * g**(-a_{n+1}) on the tail past n terms.
+        """Certified bound g/(g-1) * g**(-e) on the tail past n terms.
 
-        Valid because exponents increase by at least 1, so the tail is
-        dominated by the geometric series with ratio 1/g.
+        e = a_{n+1}: exponents increase by at least 1, so the tail is
+        dominated by the geometric series with ratio 1/g.  When a_{n+1}
+        is over the exponent budget or the materialization cap, e falls
+        back to 2*a_n, still sound because each step multiplies the
+        exponent by an integer factor >= 2.
         """
-        step = self._power(self.schedule.exponent(n + 1))
-        return Fraction(self.base, (self.base - 1) * step)
-
-    def _tail_upper_clamped(self, n: int) -> Fraction:
-        """rigorous_tail_upper when a_{n+1} is reachable, else the fallback
-        with exponent 2*a_n (sound: each step multiplies the exponent by
-        an integer factor >= 2)."""
         try:
-            a_next = self.schedule.exponent(n + 1)
-            if a_next * self.base.bit_length() <= MATERIALIZE_BITS:
-                return Fraction(self.base, (self.base - 1) * self.base ** a_next)
+            step = self._power(self.schedule.exponent(n + 1))
         except ExponentBudgetExceeded:
-            pass
-        return Fraction(self.base, (self.base - 1) * self._power(2 * self.schedule.exponent(n)))
+            step = self._power(2 * self.schedule.exponent(n))
+        return Fraction(self.base, (self.base - 1) * step)
 
     def enclose(self, n_terms: int) -> RationalInterval:
         """Exact interval containing theta, width shrinking in n_terms."""
-        s = self.partial_sum(n_terms).fraction
-        return RationalInterval(s, s + self._tail_upper_clamped(n_terms))
+        iv = self._enclosures.get(n_terms)
+        if iv is None:
+            s = self.partial_sum(n_terms).fraction
+            iv = self._enclosures[n_terms] = RationalInterval(
+                s, s + self.rigorous_tail_upper(n_terms))
+        return iv
 
     def decimal_digits(self, digits: int) -> str:
-        """Decimal expansion of theta truncated toward zero to `digits` places.
+        """Decimal expansion of theta truncated toward zero to `digits` places."""
+        return certified_digits(self.enclose, digits)
 
-        Correctness is certified by interval agreement: enclosures are
-        deepened until both endpoints truncate identically.
-        """
-        if not isinstance(digits, int) or digits < 1:
-            raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
-        for depth in range(1, MAX_DEPTH + 1):
-            try:
-                iv = self.enclose(depth)
-            except ExponentBudgetExceeded as exc:
-                raise PrecisionUnattainable(
-                    f"no enclosure tight enough for {digits} decimal places "
-                    f"within the configured budgets") from exc
-            s = digits_from_interval(iv, digits)
-            if s is not None:
-                return s
-        raise PrecisionUnattainable(
-            f"no agreement after {MAX_DEPTH} enclosure levels for {digits} places")
+
+def certified_digits(enclose, digits: int) -> str:
+    """Toward-zero expansion to `digits` places of the value that every
+    `enclose(depth)` interval contains.
+
+    Correctness is certified by interval agreement: depths 1, 2, ... are
+    tried until both endpoints truncate identically.
+    """
+    if not isinstance(digits, int) or digits < 1:
+        raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
+    for depth in range(1, MAX_DEPTH + 1):
+        try:
+            iv = enclose(depth)
+        except ExponentBudgetExceeded as exc:
+            raise PrecisionUnattainable(
+                f"no enclosure tight enough for {digits} decimal places "
+                f"within the configured budgets") from exc
+        s = digits_from_interval(iv, digits)
+        if s is not None:
+            return s
+    raise PrecisionUnattainable(
+        f"no agreement after {MAX_DEPTH} enclosure levels for {digits} places")
 
 
 def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
@@ -168,7 +171,7 @@ def deepest_feasible(s: LacunarySeries, hard_cap: int = MAX_DEPTH) -> int:
     """Largest depth m for which enclose(s, m) stays within every budget.
 
     Checks the worst case per level: the partial sum needs base**a_m and
-    the clamped tail may need base**(2*a_m).  Returns 0 when even one
+    the tail bound may fall back to base**(2*a_m).  Returns 0 when even one
     term is out of reach.
     """
     deepest = 0

@@ -23,6 +23,7 @@ no float is ever consulted.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -40,13 +41,7 @@ from .intmath import root_sci_string
 from .interval import RationalInterval
 from .logenc import ln_int_interval, ln_of_interval
 from .powercmp import Ordering, PurePower, compare
-from .series import (
-    MAX_DEPTH,
-    Convergent,
-    LacunarySeries,
-    deepest_feasible,
-    digits_from_interval,
-)
+from .series import Convergent, LacunarySeries, certified_digits, deepest_feasible
 
 # Enclosure depth for the constants inside product/quotient gap bounds.
 _CONSTANT_DEPTH = 4
@@ -58,6 +53,16 @@ class Op(enum.Enum):
     DIFFERENCE = "difference"
     PRODUCT = "product"
     QUOTIENT = "quotient"
+
+
+# One table for Fractions and RationalIntervals alike; the second operand
+# of a quotient is always positive.
+_APPLY = {
+    Op.SUM: operator.add,
+    Op.DIFFERENCE: operator.sub,
+    Op.PRODUCT: operator.mul,
+    Op.QUOTIENT: operator.truediv,
+}
 
 
 @dataclass(frozen=True)
@@ -98,31 +103,14 @@ def composite_convergent(c: CompositeNumber, n: int) -> Convergent:
     with a common factor the reduced denominator is recorded as-is
     rather than assumed to be (g1*g2)**a_n.
     """
-    f1 = c.s1.partial_sum(n).fraction
-    f2 = c.s2.partial_sum(n).fraction
-    if c.op is Op.SUM:
-        f = f1 + f2
-    elif c.op is Op.DIFFERENCE:
-        f = f1 - f2
-    elif c.op is Op.PRODUCT:
-        f = f1 * f2
-    else:
-        f = f1 / f2  # f2 > 0 always
+    f = _APPLY[c.op](c.s1.partial_sum(n).fraction, c.s2.partial_sum(n).fraction)
     return Convergent(n, f.numerator, f.denominator)
 
 
 def value_enclosure(c: CompositeNumber, depth: int) -> RationalInterval:
     """Exact interval containing the composite value, from per-series
     enclosures at `depth` terms combined with interval arithmetic."""
-    iv1 = c.s1.enclose(depth)
-    iv2 = c.s2.enclose(depth)
-    if c.op is Op.SUM:
-        return iv1 + iv2
-    if c.op is Op.DIFFERENCE:
-        return iv1 - iv2
-    if c.op is Op.PRODUCT:
-        return iv1 * iv2
-    return iv1 / iv2  # iv2.lo > 0: positive-interval division
+    return _APPLY[c.op](c.s1.enclose(depth), c.s2.enclose(depth))
 
 
 def true_gap_enclosure(c: CompositeNumber, n: int, depth: int,
@@ -383,16 +371,12 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
 
 
 def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> IndexRecord:
-    if c.op is Op.QUOTIENT and n < 2:
-        try:
-            conv = composite_convergent(c, n)
-        except (ExponentBudgetExceeded, NonIntegralExponent) as exc:
-            return IndexRecord(n=n, error=f"{type(exc).__name__}: {exc}")
-        return IndexRecord(
-            n=n, convergent=conv,
-            notice="quotient verification starts at n=2; only the convergent is recorded")
     try:
         conv = composite_convergent(c, n)
+        if c.op is Op.QUOTIENT and n < 2:
+            return IndexRecord(
+                n=n, convergent=conv,
+                notice="quotient verification starts at n=2; only the convergent is recorded")
         bound = gap_bound(c, n)
         roth = verify_roth_instance(c, n, d_eff)
         gap = roth.gap
@@ -427,17 +411,4 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: Fraction,
 def composite_digits(c: CompositeNumber, digits: int) -> str:
     """Toward-zero decimal expansion of the composite value, certified by
     enclosure agreement exactly like the per-series version."""
-    if not isinstance(digits, int) or digits < 1:
-        raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
-    for depth in range(1, MAX_DEPTH + 1):
-        try:
-            iv = value_enclosure(c, depth)
-        except ExponentBudgetExceeded as exc:
-            raise PrecisionUnattainable(
-                f"no enclosure tight enough for {digits} decimal places "
-                f"within the configured budgets") from exc
-        s = digits_from_interval(iv, digits)
-        if s is not None:
-            return s
-    raise PrecisionUnattainable(
-        f"no agreement after {MAX_DEPTH} enclosure levels for {digits} places")
+    return certified_digits(lambda depth: value_enclosure(c, depth), digits)

@@ -178,6 +178,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text(encoding="utf-8").endswith("sum = 0.4359720721\n")
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "convergents", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: out: cannot write")
+    assert not path.exists()
+
+
+def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for value in (None, 5, ["x"]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": value}))
+        code, out, err = run_cli(capsys, "convergents", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: out: expected a string")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_module_entry_point_version():
     proc = subprocess.run([sys.executable, "-m", "lacunary", "--version"],
                           capture_output=True, text=True)

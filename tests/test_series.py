@@ -158,6 +158,18 @@ def test_materialization_cap_blocks_wide_powers():
         s.partial_sum(6)  # a_6 = 2**32 is beyond the bit cap
 
 
+def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
+    # a_6 is over the exponent budget (20 bits) or over the materialization
+    # cap (a_6 = 2**32 at 33 bits); either way the bound uses 2*a_5 = 131072
+    for bits in (20, 33):
+        assert make_series(2, budget_bits=bits).rigorous_tail_upper(5) == Fraction(2, 2**131072)
+
+
+def test_enclosures_are_built_once_per_depth():
+    s = make_series(3)
+    assert s.enclose(3) is s.enclose(3)
+
+
 def test_deepest_feasible():
     assert deepest_feasible(make_series(2)) == 5
     assert deepest_feasible(make_series(2, budget_bits=10)) == 4
