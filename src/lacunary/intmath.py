@@ -108,12 +108,9 @@ def root_sci_string(x: Fraction, v: int, sig: int = 6) -> str:
     if v < 1 or sig < 1:
         raise ValueError("need v >= 1 and sig >= 1")
     # decade e with 10**e <= x**(1/v) < 10**(e+1), i.e. 10**(v*e) <= x
+    # (exact: v*e <= floor(log10 x) < v*(e+1))
     e = floor_log10(x) // v
     p, q = x.numerator, x.denominator
-    while _le_pow10(v * (e + 1), p, q):
-        e += 1
-    while not _le_pow10(v * e, p, q):
-        e -= 1
     # floor(x**(1/v) * 10**(sig-1-e)) == introot(floor(x * 10**(v*(sig-1-e))), v)
     shift = sig - 1 - e
     if shift >= 0:

@@ -99,9 +99,9 @@ class N1Result:
 def find_n1(c: CompositeNumber, t: AlgebraicTarget, n_max: int) -> N1Result:
     """Smallest n with (g1*g2)**(a_n/2) < 2*H*d**2 < (g1*g2)**(a_{n+1}/2).
 
-    Both comparisons are run on squared quantities, so they are exact
-    integer-vs-integer decisions whenever materializable and symbolic
-    log decisions otherwise.  An exact hit of the boundary raises
+    Both comparisons are run on squared quantities, so each is an exact
+    power-vs-integer decision (by bit lengths, or one integer
+    comparison).  An exact hit of the boundary raises
     TieEncountered at the index and side where it blocks the strict
     bracketing (a tie on the right of n re-surfaces as the left of n+1).
     """

@@ -1,6 +1,6 @@
 """Order relations between pure powers b**e too large to materialize.
 
-Strategy, in order:
+Two pure powers (`compare`), in order:
   1. zero exponents are handled directly (b**0 = 1);
   2. both bases are rewritten over their primitive base (b = m**t with m
      not itself a perfect power); a shared primitive base reduces the
@@ -9,6 +9,10 @@ Strategy, in order:
   3. for provably unequal values, e1*ln(b1) vs e2*ln(b2) is decided with
      directed-rounding log enclosures, doubling the precision until the
      intervals separate (termination is guaranteed by step 2).
+
+A pure power against a rational threshold (`power_vs_threshold`) is
+decided by bit lengths alone, or by one exact comparison no more than
+twice the size of the threshold.
 
 No floating point touches any decision.
 """
@@ -21,17 +25,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidConfigError
-from .intmath import MATERIALIZE_BITS, primitive_power
-from .logenc import ln_fraction_interval, ln_int_interval
+from .intmath import primitive_power
+from .logenc import ln_int_interval
 
 _START_PREC = 64
-# 2**61 - 1 (prime): a mismatch of residues proves the values unequal.
-_M61 = (1 << 61) - 1
-# Threshold comparisons stop doubling here and settle exactly instead; a
-# threshold still undecided at this precision agrees with the power to
-# thousands of bits, so it is about as large as the power itself and an
-# exact comparison costs no more than the caller already paid to build it.
-_THRESHOLD_PREC_CAP = 8192
 
 
 class Ordering(enum.Enum):
@@ -112,57 +109,27 @@ def compare_trace(x: PurePower, y: PurePower) -> CompareDiagnostics:
 
 
 def power_vs_threshold(x: PurePower, threshold) -> Ordering:
-    """Ordering of base**exp against a positive rational threshold.
+    """Ordering of base**exp against a positive rational threshold p/q.
 
-    Materializes the power when it fits the bit cap (the exact path);
-    beyond the cap, an integer threshold of matching bit length is first
-    screened for equality (modular disproofs, then one exact confirm),
-    the order is decided by log enclosures with doubling precision, and
-    a near-miss that defeats the precision cap falls back to one exact
-    cross-multiplied comparison.  Total for every representable input.
+    With bl = base.bit_length(), base**exp * q lies in
+    [2**(exp*(bl-1) + bits(q) - 1), 2**(exp*bl + bits(q))) and p lies in
+    [2**(bits(p) - 1), 2**bits(p)).  Disjoint ranges decide the order;
+    otherwise base**exp * q has at most 2*bits(p) + 2 bits, and one exact
+    comparison settles it at no more than twice the size of the threshold
+    the caller already built.
     """
     t = Fraction(threshold)
     if t <= 0:
         raise InvalidConfigError("threshold", f"must be positive, got {t}")
-    if x.bit_bound() <= MATERIALIZE_BITS:
-        v = x.materialize()
-        if v < t:
-            return Ordering.LESS
-        if v > t:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-    # Huge power: before the log refinement (which cannot terminate on
-    # equal inputs) equality must be excluded exactly.  Only an integer
-    # threshold of exactly matching bit length can be equal; cheap exact
-    # modular disproofs run first, and the rare survivor is settled by
-    # one full power construction (no worse than the caller having built
-    # the threshold itself).
-    if t.denominator == 1 and t.numerator >= 2:
-        tn = t.numerator
-        bl = x.base.bit_length()
-        tb = tn.bit_length()
-        if x.exp * (bl - 1) + 1 <= tb <= x.exp * bl:
-            if (pow(x.base, x.exp, _M61) == tn % _M61
-                    and pow(x.base, x.exp, 1 << 64) == tn % (1 << 64)
-                    and x.materialize() == tn):
-                return Ordering.EQUAL
-    prec = _START_PREC
-    while prec <= _THRESHOLD_PREC_CAP:
-        lx = ln_int_interval(x.base, prec) * x.exp
-        lt = ln_fraction_interval(t, prec)
-        if lx.hi < lt.lo:
-            return Ordering.LESS
-        if lt.hi < lx.lo:
-            return Ordering.GREATER
-        prec *= 2
-    # Still undecided: the threshold is within 2**-cap of the power in
-    # log, i.e. a deliberate near-miss of comparable size.  Settle it
-    # exactly; the cross-multiplied comparison is the only sound option
-    # left and its cost is bounded by the size of the given threshold.
-    v = x.materialize()
-    lhs, rhs = v * t.denominator, t.numerator
-    if lhs < rhs:
+    p, q = t.numerator, t.denominator
+    bl, pb, qb = x.base.bit_length(), p.bit_length(), q.bit_length()
+    if x.exp * bl + qb < pb:
         return Ordering.LESS
-    if lhs > rhs:
+    if x.exp * (bl - 1) + qb - 1 >= pb:
+        return Ordering.GREATER
+    lhs = x.materialize() * q
+    if lhs < p:
+        return Ordering.LESS
+    if lhs > p:
         return Ordering.GREATER
     return Ordering.EQUAL

@@ -1,7 +1,8 @@
 """Exponent sequences a_{n+1} = a_n**(1+beta) and growth-window validation.
 
 The sequence grows doubly exponentially, so two guards are built in: a
-bit-size budget on the exponent values themselves (default 2**20), and
+bit-size budget on the exponent values themselves (default 2**20, at
+most 2**MATERIALIZE_BITS), checked before a new exponent is built, and
 eager detection of the first step where the recurrence leaves the
 integers.  With beta = u/v in lowest terms, a**(1+u/v) is an integer
 exactly when a is a perfect v-th power; that test is done by exact
@@ -16,8 +17,8 @@ from fractions import Fraction
 from typing import List
 
 from .errors import ExponentBudgetExceeded, InvalidConfigError, NonIntegralExponent
-from .intmath import introot
-from .powercmp import Ordering, PurePower, compare
+from .intmath import MATERIALIZE_BITS, introot
+from .powercmp import Ordering, PurePower, compare, power_vs_threshold
 
 DEFAULT_BUDGET_BITS = 20
 
@@ -40,6 +41,9 @@ class PowerSchedule:
             raise InvalidConfigError("beta", f"growth exponent must be positive, got {beta}")
         if not isinstance(budget_bits, int) or budget_bits < 2:
             raise InvalidConfigError("budget_bits", f"must be an integer >= 2, got {budget_bits!r}")
+        if budget_bits > MATERIALIZE_BITS:
+            raise InvalidConfigError(
+                "budget_bits", f"must be at most {MATERIALIZE_BITS}, got {budget_bits!r}")
         self.a1 = a1
         self.beta = beta
         self.budget_bits = budget_bits
@@ -73,12 +77,11 @@ class PowerSchedule:
                     raise NonIntegralExponent(
                         f"a_{m + 1} = a_{m}**({power}) is not an integer: "
                         f"a_{m} = {last} is not a perfect {v}-th power")
-                nxt = root ** (u + v)
-                if nxt > self._limit:
+                if power_vs_threshold(PurePower(root, u + v), self._limit) is Ordering.GREATER:
                     raise ExponentBudgetExceeded(
                         f"a_{m + 1} = {last}**({power}) exceeds the "
                         f"2**{self.budget_bits} exponent budget")
-                self._cache.append(nxt)
+                self._cache.append(root ** (u + v))
         return self._cache[n - 1]
 
     def known(self) -> tuple:

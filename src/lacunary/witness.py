@@ -113,14 +113,11 @@ def value_enclosure(c: CompositeNumber, depth: int) -> RationalInterval:
     return _APPLY[c.op](c.s1.enclose(depth), c.s2.enclose(depth))
 
 
-def true_gap_enclosure(c: CompositeNumber, n: int, depth: int,
-                       conv: Optional[Convergent] = None) -> RationalInterval:
+def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterval:
     """Interval enclosing |value - convergent_n| from a depth-`depth`
     value enclosure.  depth <= n is legal but yields a one-sided interval
     with lower endpoint 0, useless for certification."""
-    if conv is None:
-        conv = composite_convergent(c, n)
-    return (value_enclosure(c, depth) - conv.fraction).abs()
+    return (value_enclosure(c, depth) - composite_convergent(c, n).fraction).abs()
 
 
 def gap_bound(c: CompositeNumber, n: int) -> Fraction:
@@ -230,15 +227,14 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
         raise InvalidConfigError("d_eff", f"effective exponent must exceed 2, got {d_eff}")
     if c.op is Op.QUOTIENT and n < 2:
         raise InvalidConfigError("n", "quotient verification starts at n=2")
-    conv = composite_convergent(c, n)
-    q = conv.q
+    q = composite_convergent(c, n).q
     u, v = d_eff.numerator, d_eff.denominator
     dmax = min(deepest_feasible(c.s1), deepest_feasible(c.s2))
     if dmax < 1:
         raise InsufficientDepth("no enclosure depth is feasible within the budget")
     qs = q ** u
     for depth in range(min(n + 2, dmax), dmax + 1):
-        gap = true_gap_enclosure(c, n, depth, conv=conv)
+        gap = true_gap_enclosure(c, n, depth)
         hi_stat = gap.hi ** v * qs
         if hi_stat < 1:
             return RothCheck(n=n, d_eff=d_eff, passed=True, tie=False,
@@ -260,9 +256,8 @@ def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     Log precision is tied to depth (64*depth fractional bits) so that
     deeper enclosures give strictly narrower exponent intervals.
     """
-    conv = composite_convergent(c, n)
-    gap = true_gap_enclosure(c, n, depth, conv=conv)
-    return _exponent_interval(gap, conv.q, 64 * depth)
+    gap = true_gap_enclosure(c, n, depth)
+    return _exponent_interval(gap, composite_convergent(c, n).q, 64 * depth)
 
 
 def _exponent_interval(gap: RationalInterval, q: int, prec: int) -> RationalInterval:

@@ -32,7 +32,7 @@ from lacunary.witness import (
     verify_roth_instance,
 )
 
-from conftest import build_example
+from conftest import CLI_ENV, build_example
 
 # pinned once, ahead of any run
 GRID_BASES = range(2, 8)
@@ -237,7 +237,7 @@ def test_criterion_10_deterministic_certificates(tmp_path):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "lacunary", "witness", "--out", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 0, proc.stderr
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]

@@ -8,7 +8,7 @@ from lacunary.certjson import dumps, loads
 from lacunary.cli import main
 from lacunary.witness import gap_bound
 
-from conftest import build_example
+from conftest import CLI_ENV, build_example
 
 
 def run_cli(capsys, *argv):
@@ -92,7 +92,7 @@ def test_witness_deterministic_and_roundtrip(tmp_path):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "lacunary", "witness", "--out", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
@@ -151,6 +151,13 @@ def test_exit_code_budget_errors(capsys):
     assert code == 3 and "budget error" in err
 
 
+def test_budget_bits_over_materialization_cap(capsys):
+    # 2**budget_bits is built up front, so budgets are capped at 2**25 bits
+    code, out, err = run_cli(capsys, "convergents", "--budget-bits", "33554433")
+    assert code == 2 and out == ""
+    assert err == "config error: budget_bits: must be at most 33554432, got 33554433\n"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"op": "product", "n_to": 2}))
@@ -199,7 +206,7 @@ def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point_version():
     proc = subprocess.run([sys.executable, "-m", "lacunary", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"lacunary {__version__}"
 

@@ -108,7 +108,8 @@ def test_threshold_small_paths():
 
 
 def test_threshold_multi_megabit_values():
-    # ~3 Mbit values: still within the materialization cap -> exact path
+    # ~3 Mbit values: thresholds within a bit of the power take the exact
+    # comparison, v/3 is decided by bit lengths
     x = PurePower(2, 3 * 2**20)
     v = 8 ** (2**20)
     assert power_vs_threshold(x, v) is Ordering.EQUAL
@@ -117,32 +118,23 @@ def test_threshold_multi_megabit_values():
     assert power_vs_threshold(x, Fraction(v, 3)) is Ordering.GREATER
 
 
-def test_threshold_symbolic_paths(monkeypatch):
-    # shrink the materialization cap so the symbolic branch is reachable
-    # at toy sizes; every sub-path gets exercised
-    import lacunary.powercmp as pc
-
-    monkeypatch.setattr(pc, "MATERIALIZE_BITS", 4096)
+def test_threshold_symbolic_paths():
+    # both routes at a few thousand bits
     x = PurePower(2, 6000)
     v = 2**6000
     assert x.bit_bound() > 4096
-    # integer equality screen: residues match, exact confirm succeeds
+    # thresholds of the power's bit length: one exact comparison
     assert power_vs_threshold(x, v) is Ordering.EQUAL
-    # residues differ -> log loop separates (gap ~ 2**-6000 needs no cap)
     assert power_vs_threshold(x, v + 2) is Ordering.LESS
     assert power_vs_threshold(x, v - 2) is Ordering.GREATER
-    # far-away thresholds separate in the first round
+    # far-away thresholds are decided by bit lengths alone
     assert power_vs_threshold(x, 5**100) is Ordering.GREATER
     assert power_vs_threshold(x, Fraction(1, 7)) is Ordering.GREATER
 
 
-def test_threshold_near_miss_beyond_precision_cap(monkeypatch):
-    # a threshold agreeing with the power to ~20000 bits defeats the
-    # capped log refinement and must be settled by the exact fallback
-    import lacunary.powercmp as pc
-
-    monkeypatch.setattr(pc, "MATERIALIZE_BITS", 4096)
-    monkeypatch.setattr(pc, "_THRESHOLD_PREC_CAP", 256)
+def test_threshold_near_miss_beyond_precision_cap():
+    # a threshold agreeing with the power to ~20000 bits: no log
+    # refinement could split them, the exact comparison does
     x = PurePower(2, 20000)
     v = 2**20000
     assert power_vs_threshold(x, v + 2) is Ordering.LESS
@@ -150,3 +142,43 @@ def test_threshold_near_miss_beyond_precision_cap(monkeypatch):
     assert power_vs_threshold(x, v + 1) is Ordering.LESS
     # non-integer near-miss just below v: 3v^2/(3v+1) = v - 1/3 + o(1)
     assert power_vs_threshold(x, Fraction(3 * v * v, 3 * v + 1)) is Ordering.GREATER
+
+
+def _materialized_order(b, e, t):
+    v = Fraction(b**e)
+    return Ordering.LESS if v < t else Ordering.GREATER if v > t else Ordering.EQUAL
+
+
+def test_threshold_random_against_materialized(seed=271828):
+    # thresholds at b**e +- 1..3, powers of two and their neighbours, and
+    # p/q with q > 1 at both edges of the bit-length rule
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(300):
+        b = rng.randrange(2, 201)
+        e = rng.choice((0, rng.randrange(1, 300)))
+        v = b**e
+        ts = [v + k for k in range(-3, 4) if v + k > 0]
+        k = max(1, v.bit_length() + rng.randrange(-2, 3))
+        ts += [(1 << k) + j for j in (-1, 0, 1)]
+        q = rng.randrange(2, 1 << rng.randrange(2, 40))
+        bl, qb = b.bit_length(), q.bit_length()
+        for pb in (e * bl + qb, e * bl + qb + 1, e * (bl - 1) + qb - 1, e * (bl - 1) + qb):
+            if pb >= 1:
+                ts += [Fraction(1 << (pb - 1), q), Fraction((1 << pb) - 1, q)]
+        ts += [Fraction(v * q + j, q) for j in (-1, 1)]
+        for t in ts:
+            assert power_vs_threshold(PurePower(b, e), t) is _materialized_order(b, e, t)
+            checked += 1
+    assert checked > 5000
+
+
+def test_threshold_far_from_power_builds_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built {self.base}**{self.exp}")
+
+    monkeypatch.setattr(PurePower, "materialize", refuse)
+    assert power_vs_threshold(PurePower(6, 65536), 54**2) is Ordering.GREATER
+    assert power_vs_threshold(PurePower(3, 2**24), 7) is Ordering.GREATER
+    assert power_vs_threshold(PurePower(3, 2**24), Fraction(1, 7)) is Ordering.GREATER
+    assert power_vs_threshold(PurePower(3, 5), 10**100) is Ordering.LESS

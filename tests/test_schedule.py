@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -43,6 +44,26 @@ def test_budget_exhaustion():
         s.exponent(5)
     big = PowerSchedule(2, Fraction(1), budget_bits=33)
     assert big.exponent(6) == 2**32
+
+
+def test_over_budget_exponent_is_refused_before_it_is_built():
+    # a_2 = 2**(10**8 + 1) would be a 12.5 MB integer
+    s = PowerSchedule(2, 10**8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExponentBudgetExceeded):
+            s.exponent(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_budget_bits_capped_at_materialization_limit():
+    assert PowerSchedule(2, Fraction(1), budget_bits=2**25).budget_bits == 2**25
+    with pytest.raises(InvalidConfigError) as info:
+        PowerSchedule(2, Fraction(1), budget_bits=2**25 + 1)
+    assert str(info.value) == "budget_bits: must be at most 33554432, got 33554433"
 
 
 def test_constructor_validation():
