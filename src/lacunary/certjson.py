@@ -7,7 +7,8 @@ whitespace, every integer is rendered as a decimal string (consumers
 with 64-bit JSON parsers must survive q_n with thousands of digits),
 rationals are {"num", "den"} string pairs, convergents are {"p", "q"},
 intervals are {"lo", "hi"} rational pairs.  Output is ASCII with a
-single trailing newline.
+single trailing newline.  Records may end before n_to: the last one then
+carries a notice naming the omitted indices.
 """
 
 from __future__ import annotations

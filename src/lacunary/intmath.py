@@ -1,26 +1,41 @@
-"""Exact integer and rational helpers: roots, power decompositions, decimal output.
+"""Exact integer and rational helpers: the size gate, roots, power
+decompositions, decimal output.
 
-Everything here is pure integer/Fraction arithmetic; no floats enter any
-result (floats appear only as Newton starting guesses).
+Everything here is pure integer/Fraction arithmetic; no float enters
+this module at all.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import ExponentBudgetExceeded
 
 __all__ = [
     "MATERIALIZE_BITS",
+    "check_power",
     "introot",
     "primitive_power",
     "floor_log10",
-    "sci_string",
     "root_sci_string",
 ]
 
 # Cap on any big integer we agree to build in full (~4 MiB).  Exponent
-# schedules themselves may go far beyond this; only materialization of
-# g**a_n is gated.
+# schedules themselves may go far beyond this; every power whose size
+# comes from the input passes check_power before it is built.
 MATERIALIZE_BITS = 1 << 25
+
+
+def check_power(base, e: int, base_bits: int) -> None:
+    """Refuse to build base**e when e * base_bits is over the cap.
+
+    `base` (a number or a label) is only formatted into the refusal.
+    """
+    if e * base_bits > MATERIALIZE_BITS:
+        raise ExponentBudgetExceeded(
+            f"{base}**{e} would need about {e * base_bits} bits, "
+            f"over the {MATERIALIZE_BITS}-bit materialization cap")
 
 
 def introot(n: int, k: int) -> tuple[int, bool]:
@@ -46,7 +61,7 @@ def introot(n: int, k: int) -> tuple[int, bool]:
 def _small_primes(limit: int) -> list[int]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
     return [i for i in range(2, limit + 1) if sieve[i]]
@@ -81,7 +96,7 @@ def floor_log10(x: Fraction) -> int:
         raise ValueError("floor_log10 requires x > 0")
     p, q = x.numerator, x.denominator
     # 10**e <= p/q  <=>  q*10**e <= p  (e may be negative: p*10**-e >= q)
-    e = int((p.bit_length() - q.bit_length()) * 0.30103) - 1
+    e = (p.bit_length() - q.bit_length()) * 30103 // 100000 - 1
     while _le_pow10(e + 1, p, q):
         e += 1
     while not _le_pow10(e, p, q):
@@ -124,9 +139,3 @@ def root_sci_string(x: Fraction, v: int, sig: int = 6) -> str:
     mantissa = s[0] + ("." + s[1:] if sig > 1 else "")
     return f"{mantissa}e{e:+d}"
 
-
-def sci_string(x: Fraction, sig: int = 6) -> str:
-    """Scientific-notation string of x, truncated toward zero."""
-    if x < 0:
-        return "-" + root_sci_string(-x, 1, sig)
-    return root_sci_string(x, 1, sig)

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidConfigError, NoSignChange, NotFound, TieEncountered
 from .interval import RationalInterval
+from .intmath import check_power
 from .powercmp import Ordering, PurePower, power_vs_threshold
 from .witness import CompositeNumber, value_enclosure
 
@@ -59,17 +60,20 @@ def liouville_gap_bound(t: AlgebraicTarget, q: int) -> Fraction:
 
 
 def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
-    """Closed-form bound 1/(2*H*d**2)**(1+4*d), independent of the series."""
+    """Closed-form bound 1/(2*H*d**2)**(1+4*d), independent of the series.
+
+    The denominator passes the size gate before it is built."""
     d, h = t.degree, t.height
     base = 2 * h * d * d
     expo = 1 + 4 * d
+    check_power(base, expo, base.bit_length())
     bound = Fraction(1, base ** expo)
     derivation = (
         f"target: degree d = {d}, height H = {h}",
         f"base: 2*H*d^2 = {base}",
         f"exponent: 1+4*d = {expo}",
         f"bound: 1/({base})^{expo}",
-        f"denominator: {base ** expo}",
+        f"denominator: {bound.denominator}",
     )
     return MeasureBound(bound=bound, n1=None, derivation=derivation)
 

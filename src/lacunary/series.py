@@ -6,13 +6,14 @@ by g, so N = 1 (mod g) and the fraction is already reduced; the reduced
 denominator g**a_n is an invariant this module actively checks.
 
 Partial sums are materialized on demand: q_n has Theta(a_n) digits, so
-construction of g**e is gated by MATERIALIZE_BITS.  Tail bounds come in
+construction of g**e passes the intmath size gate first.  Tail bounds come in
 two grades: the citable pair (1/g**a_{n+1}, 2/g**a_{n+1}) and the
 tighter certified bound g/(g-1) * g**(-a_{n+1}) behind every enclosure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +24,9 @@ from .errors import (
     InvalidConfigError,
     PrecisionUnattainable,
 )
-from .intmath import MATERIALIZE_BITS
+from .intmath import check_power
 from .interval import RationalInterval
 from .schedule import PowerSchedule
-
-# Hard stop for depth searches; budgets fire long before this in practice.
-MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,7 @@ class LacunarySeries:
 
     def _power(self, e: int) -> int:
         """base**e, refused when the result would be absurdly wide."""
-        if e * self.base.bit_length() > MATERIALIZE_BITS:
-            raise ExponentBudgetExceeded(
-                f"{self.base}**{e} would need about {e * self.base.bit_length()} bits, "
-                f"over the {MATERIALIZE_BITS}-bit materialization cap")
+        check_power(self.base, e, self.base.bit_length())
         return self.base ** e
 
     def partial_sum(self, n: int) -> Convergent:
@@ -125,11 +120,13 @@ def certified_digits(enclose, digits: int) -> str:
     `enclose(depth)` interval contains.
 
     Correctness is certified by interval agreement: depths 1, 2, ... are
-    tried until both endpoints truncate identically.
+    tried until both endpoints truncate identically.  The loop ends by
+    depth 25 at the latest: a_{m+1} >= 2*a_m, so g**a_m is over the size
+    cap by then and `enclose` refuses.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
-    for depth in range(1, MAX_DEPTH + 1):
+    for depth in itertools.count(1):
         try:
             iv = enclose(depth)
         except ExponentBudgetExceeded as exc:
@@ -139,8 +136,6 @@ def certified_digits(enclose, digits: int) -> str:
         s = digits_from_interval(iv, digits)
         if s is not None:
             return s
-    raise PrecisionUnattainable(
-        f"no agreement after {MAX_DEPTH} enclosure levels for {digits} places")
 
 
 def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
@@ -148,13 +143,20 @@ def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
 
     Both endpoints must truncate to the same multiple of 10**-digits;
     then that truncation is the correct toward-zero expansion of every
-    value in the interval.
+    value in the interval.  An interval too wide for that is refused from
+    its denominators' bit lengths alone, before 10**digits is built.
     """
     if digits < 1:
         raise InvalidConfigError("digits", f"must be positive, got {digits}")
+    lo, hi = iv.lo, iv.hi
+    # hi - lo >= 1/(lo.den*hi.den) > 2**(-3*digits) > 10**-digits, so ends
+    # on one side of 0 truncate apart; ends across 0 agree only when both
+    # truncate to 0, which needs each denominator over 10**digits.
+    if lo != hi and 3 * digits >= lo.denominator.bit_length() + hi.denominator.bit_length():
+        return None
     scale = 10 ** digits
-    t_lo = int(iv.lo * scale)  # int() on Fraction truncates toward zero
-    t_hi = int(iv.hi * scale)
+    t_lo = int(lo * scale)  # int() on Fraction truncates toward zero
+    t_hi = int(hi * scale)
     if t_lo != t_hi:
         return None
     return format_fixed(t_lo, digits)
@@ -167,20 +169,17 @@ def format_fixed(t: int, digits: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-def deepest_feasible(s: LacunarySeries, hard_cap: int = MAX_DEPTH) -> int:
+def deepest_feasible(s: LacunarySeries) -> int:
     """Largest depth m for which enclose(s, m) stays within every budget.
 
     Checks the worst case per level: the partial sum needs base**a_m and
-    the tail bound may fall back to base**(2*a_m).  Returns 0 when even one
-    term is out of reach.
+    the tail bound may fall back to base**(2*a_m).  Stops at the schedule
+    end or the first size refusal, by m = 25 since a_m >= 2**m.  Returns
+    0 when even one term is out of reach.
     """
-    deepest = 0
-    for cand in range(1, hard_cap + 1):
+    for deepest in itertools.count():
         try:
-            a = s.schedule.exponent(cand)
+            e = 2 * s.schedule.exponent(deepest + 1)
+            check_power(s.base, e, s.base.bit_length())
         except ExponentBudgetExceeded:
-            break
-        if 2 * a * s.base.bit_length() > MATERIALIZE_BITS:
-            break
-        deepest = cand
-    return deepest
+            return deepest

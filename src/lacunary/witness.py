@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -37,7 +37,7 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import root_sci_string
+from .intmath import check_power, root_sci_string
 from .interval import RationalInterval
 from .logenc import ln_int_interval, ln_of_interval
 from .powercmp import Ordering, PurePower, compare
@@ -118,6 +118,13 @@ def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     value enclosure.  depth <= n is legal but yields a one-sided interval
     with lower endpoint 0, useless for certification."""
     return (value_enclosure(c, depth) - composite_convergent(c, n).fraction).abs()
+
+
+def _gated_pow(x, e: int, what: str) -> Fraction:
+    """Fraction(x)**e, refused by the size gate before it is built."""
+    x = Fraction(x)
+    check_power(what, e, max(x.numerator.bit_length(), x.denominator.bit_length()))
+    return x ** e
 
 
 def gap_bound(c: CompositeNumber, n: int) -> Fraction:
@@ -220,7 +227,8 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
     The irrational threshold is cleared: for d_eff = u/v,
     gap.hi < q**(-u/v) iff gap.hi**v * q**u < 1, an exact rational
     comparison.  Starts at enclosure depth n+2 and deepens until the
-    comparison is decided or the budget is exhausted.
+    comparison is decided or the budget is exhausted; each cleared power
+    passes the size gate first.
     """
     d_eff = Fraction(d_eff)
     if d_eff <= 2:
@@ -232,15 +240,18 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
     dmax = min(deepest_feasible(c.s1), deepest_feasible(c.s2))
     if dmax < 1:
         raise InsufficientDepth("no enclosure depth is feasible within the budget")
-    qs = q ** u
+    qs = None  # q**u, built once gap.hi**v (usually the wider) has passed the gate
     for depth in range(min(n + 2, dmax), dmax + 1):
         gap = true_gap_enclosure(c, n, depth)
-        hi_stat = gap.hi ** v * qs
+        hi_pow = _gated_pow(gap.hi, v, "gap.hi")
+        if qs is None:
+            qs = _gated_pow(q, u, f"q_{n}")
+        hi_stat = hi_pow * qs
         if hi_stat < 1:
             return RothCheck(n=n, d_eff=d_eff, passed=True, tie=False,
                              margin=root_sci_string(hi_stat, v, _MARGIN_DIGITS),
                              depth=depth, gap=gap)
-        lo_stat = gap.lo ** v * qs
+        lo_stat = _gated_pow(gap.lo, v, "gap.lo") * qs
         if lo_stat >= 1:
             return RothCheck(n=n, d_eff=d_eff, passed=False, tie=lo_stat == 1,
                              margin=root_sci_string(lo_stat, v, _MARGIN_DIGITS),
@@ -325,8 +336,10 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
 
     d_eff defaults to (2+d)/2, strictly between 2 and d, absorbing the
     constant factors of the gap bounds.  Component failures are embedded
-    per index; other indices still complete.  An empty range yields a
-    certificate with a config echo and no records.
+    per index; other indices still complete.  Once a_n itself does not
+    exist, every later index would repeat the error, so the record for n
+    carries a notice and the later ones are omitted.  An empty range
+    yields a certificate with a config echo and no records.
     """
     d = Fraction(d)
     if d <= 2:
@@ -351,7 +364,14 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
         except (NotFound, ExponentBudgetExceeded, NonIntegralExponent) as exc:
             n0_error = f"{type(exc).__name__}: {exc}"
 
-    records = tuple(_index_record(c, n, d, d_eff) for n in range(n_from, n_to + 1))
+    records = []
+    for n in range(n_from, n_to + 1):
+        rec = _index_record(c, n, d, d_eff)
+        if rec.error is not None and n < n_to and len(c.schedule.known()) < n:
+            records.append(replace(
+                rec, notice=f"a_{n} does not exist, so indices {n + 1}..{n_to} are omitted"))
+            break
+        records.append(rec)
     passes = sum(1 for r in records if r.roth is not None and r.roth.passed)
     verdict = (f"{passes} of {len(records)} indices pass the strict approximation "
                f"test at exponent {d_eff}")
@@ -362,7 +382,7 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
         a1=c.schedule.a1, beta=c.schedule.beta, budget_bits=c.schedule.budget_bits,
         d=d, d_eff=d_eff, n_from=n_from, n_to=n_to,
         n0=n0, n0_error=n0_error, threshold_checks=checks,
-        records=records, verdict=verdict)
+        records=tuple(records), verdict=verdict)
 
 
 def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> IndexRecord:
@@ -398,8 +418,10 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: Fraction,
     ps2 = c.s2.partial_sum(n)
     depth = min(_CONSTANT_DEPTH, deepest_feasible(c.s2)) or 1
     theta2_up = c.s2.enclose(depth).hi
-    q_form = gap_hi ** dv * Fraction(ps1.q * ps2.q) ** du < Fraction(4) ** dv
-    p_form = gap_hi ** dv * Fraction(ps1.q * ps2.p) ** du < (4 * (1 + theta2_up)) ** dv
+    gap_pow = _gated_pow(gap_hi, dv, "gap.hi")
+    q_form = gap_pow * _gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < Fraction(4) ** dv
+    p_form = (gap_pow * _gated_pow(ps1.q * ps2.p, du, "(q1*p2)")
+              < _gated_pow(4 * (1 + theta2_up), dv, "(4*(1+theta2))"))
     return QuotientForms(q_denominator_form=q_form, p_denominator_form=p_form)
 
 

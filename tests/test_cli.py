@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from lacunary import __version__
 from lacunary.certjson import dumps, loads
 from lacunary.cli import main
@@ -15,6 +17,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, seconds=10):
+    """`python -m lacunary argv`, failing the test if it runs past `seconds`."""
+    return subprocess.run([sys.executable, "-m", "lacunary", *argv],
+                          capture_output=True, text=True, env=CLI_ENV, timeout=seconds)
 
 
 def test_digits_default_config(capsys):
@@ -217,3 +225,40 @@ def test_rationals_reparse_exactly(capsys):
     r = doc["records"][2]
     got = Fraction(int(r["gap_bound"]["num"]), int(r["gap_bound"]["den"]))
     assert got == gap_bound(build_example(), 3)
+
+
+# Inputs whose size comes straight from the command line: each must be
+# refused by the materialization cap within seconds, not built.
+
+@pytest.mark.parametrize("n_to,d", [("4", "99999999"), ("1", "2000001/1000000")])
+def test_witness_huge_degree_is_refused_per_index(n_to, d):
+    proc = run_module("witness", "--n-to", n_to, "--d", d)
+    assert proc.returncode == 0, proc.stderr
+    recs = json.loads(proc.stdout)["records"]
+    assert len(recs) == int(n_to)
+    assert all(r["error"].startswith("ExponentBudgetExceeded: ")
+               and r["error"].endswith("-bit materialization cap") for r in recs)
+
+
+def test_measure_huge_degree_exits_3():
+    proc = run_module("measure", "--d", "1000000")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("budget error: 2000000000000**4000001 would need about "
+                           "164000041 bits, over the 33554432-bit materialization cap\n")
+
+
+def test_digits_out_of_reach_exits_3():
+    proc = run_module("digits", "--digits", "3000000")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("budget error: no enclosure tight enough for 3000000 decimal "
+                           "places within the configured budgets\n")
+
+
+def test_witness_stops_at_schedule_end():
+    proc = run_module("witness", "--n-to", "3000")
+    assert proc.returncode == 0, proc.stderr
+    recs = json.loads(proc.stdout)["records"]
+    assert [r["n"] for r in recs] == ["1", "2", "3", "4", "5", "6"]
+    assert recs[-1]["error"].startswith("ExponentBudgetExceeded: a_6 = ")
+    assert recs[-1]["notice"] == "a_6 does not exist, so indices 7..3000 are omitted"
+    assert all(r["notice"] is None for r in recs[:-1])

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
+    MATERIALIZE_BITS,
+    check_power,
     floor_log10,
     introot,
     primitive_power,
     root_sci_string,
-    sci_string,
 )
 
 
@@ -25,6 +27,14 @@ def test_introot_floor_property(n, k):
 def test_introot_recovers_constructed_powers(b, k):
     r, exact = introot(b**k, k)
     assert exact and r == b
+
+
+def test_check_power_refuses_only_over_the_cap():
+    check_power("x", MATERIALIZE_BITS, 1)
+    check_power(7, 1 << 23, 4)
+    with pytest.raises(ExponentBudgetExceeded, match=r"^x\*\*33554433 would need about "
+                       r"33554433 bits, over the 33554432-bit materialization cap$"):
+        check_power("x", MATERIALIZE_BITS + 1, 1)
 
 
 def test_introot_edge_cases():
@@ -71,17 +81,13 @@ def test_floor_log10_brackets(x):
     assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
 
 
-def test_sci_string_examples():
-    assert sci_string(Fraction(1, 3), 6) == "3.33333e-1"
-    assert sci_string(Fraction(2), 4) == "2.000e+0"
-    assert sci_string(Fraction(1, 1000), 3) == "1.00e-3"
-    assert sci_string(Fraction(-1, 8), 3) == "-1.25e-1"
-    assert sci_string(Fraction(0), 5) == "0"
-    # truncation toward zero, never rounding up
-    assert sci_string(Fraction(999999999, 10**9), 6) == "9.99999e-1"
-
-
 def test_root_sci_string_examples():
+    assert root_sci_string(Fraction(1, 3), 1, 6) == "3.33333e-1"
+    assert root_sci_string(Fraction(2), 1, 4) == "2.000e+0"
+    assert root_sci_string(Fraction(1, 1000), 1, 3) == "1.00e-3"
+    assert root_sci_string(Fraction(0), 1, 5) == "0"
+    # truncation toward zero, never rounding up
+    assert root_sci_string(Fraction(999999999, 10**9), 1, 6) == "9.99999e-1"
     assert root_sci_string(Fraction(2), 2, 6) == "1.41421e+0"
     assert root_sci_string(Fraction(1, 4), 2, 5) == "5.0000e-1"
     assert root_sci_string(Fraction(8), 3, 4) == "2.000e+0"

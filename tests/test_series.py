@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lacunary.errors import (
     ExponentBudgetExceeded,
@@ -146,6 +148,28 @@ def test_digits_from_interval():
         digits_from_interval(iv, 0)
 
 
+def _narrowest(lo_den, k, shift):
+    # hi - lo = 1/(lo.den*hi.den), the least width these denominators allow
+    hi_den = k * lo_den + 1
+    b = pow(lo_den, -1, hi_den)
+    return RationalInterval(shift + Fraction((b * lo_den - 1) // hi_den, lo_den),
+                            shift + Fraction(b, hi_den))
+
+
+@given(st.one_of(
+           st.builds(_narrowest, st.integers(2, 2**40), st.integers(1, 2**20),
+                     st.integers(-2, 2)),
+           st.builds(lambda lo, width: RationalInterval(lo, lo + width),
+                     st.fractions(-2, 2, max_denominator=10**6),
+                     st.fractions(0, Fraction(1, 100), max_denominator=10**6))),
+       st.integers(min_value=1, max_value=30))
+def test_digits_from_interval_matches_direct_truncation(iv, digits):
+    # the bit-length refusal may only fire where the endpoints disagree
+    t_lo, t_hi = int(iv.lo * 10**digits), int(iv.hi * 10**digits)
+    expected = format_fixed(t_lo, digits) if t_lo == t_hi else None
+    assert digits_from_interval(iv, digits) == expected
+
+
 def test_format_fixed():
     assert format_fixed(-5, 3) == "-0.005"
     assert format_fixed(12345, 2) == "123.45"
@@ -156,6 +180,14 @@ def test_materialization_cap_blocks_wide_powers():
     s = make_series(2, budget_bits=33)
     with pytest.raises(ExponentBudgetExceeded):
         s.partial_sum(6)  # a_6 = 2**32 is beyond the bit cap
+
+
+def test_power_refusal_text_is_pinned():
+    # certificates and stderr quote this text; it must not drift
+    with pytest.raises(ExponentBudgetExceeded) as info:
+        make_series(3)._power((1 << 24) + 1)
+    assert str(info.value) == ("3**16777217 would need about 33554434 bits, over the "
+                               "33554432-bit materialization cap")
 
 
 def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
@@ -174,7 +206,6 @@ def test_deepest_feasible():
     assert deepest_feasible(make_series(2)) == 5
     assert deepest_feasible(make_series(2, budget_bits=10)) == 4
     assert deepest_feasible(make_series(2, budget_bits=33)) == 5
-    assert deepest_feasible(make_series(2), hard_cap=3) == 3
     bad = LacunarySeries(2, PowerSchedule(4, Fraction(1, 2)))
     with pytest.raises(NonIntegralExponent):
         deepest_feasible(bad)
