@@ -81,13 +81,19 @@ def test_floor_log10_brackets(x):
     assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
 
 
-def test_root_sci_string_examples():
+def test_sci_string_examples():
+    # the plain scientific form is root_sci_string with v = 1
     assert root_sci_string(Fraction(1, 3), 1, 6) == "3.33333e-1"
     assert root_sci_string(Fraction(2), 1, 4) == "2.000e+0"
     assert root_sci_string(Fraction(1, 1000), 1, 3) == "1.00e-3"
     assert root_sci_string(Fraction(0), 1, 5) == "0"
     # truncation toward zero, never rounding up
     assert root_sci_string(Fraction(999999999, 10**9), 1, 6) == "9.99999e-1"
+    with pytest.raises(ValueError):
+        root_sci_string(Fraction(-1, 8), 1, 3)
+
+
+def test_root_sci_string_examples():
     assert root_sci_string(Fraction(2), 2, 6) == "1.41421e+0"
     assert root_sci_string(Fraction(1, 4), 2, 5) == "5.0000e-1"
     assert root_sci_string(Fraction(8), 3, 4) == "2.000e+0"
