@@ -14,30 +14,23 @@ carries a notice naming the omitted indices.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 from . import __version__
 from .interval import RationalInterval
+from .intmath import decimal_str
 from .witness import IndexRecord, WitnessCertificate
 
 SCHEMA_VERSION = "1"
 
-# Certificates legitimately carry integers with 10**5+ digits; the
-# interpreter's int-to-str guard (CVE-2020-10735 mitigation) would refuse
-# them.  Decimal-string emission of exactly these integers is this
-# module's contract, so the limit is lifted.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-
 
 def intstr(x: int) -> str:
-    return str(int(x))
+    return decimal_str(int(x))
 
 
 def rat(x) -> dict:
     f = Fraction(x)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    return {"num": decimal_str(f.numerator), "den": decimal_str(f.denominator)}
 
 
 def interval(iv: RationalInterval) -> dict:
@@ -76,7 +69,7 @@ def _record_entry(r: IndexRecord) -> dict:
         "error": r.error,
         "notice": r.notice,
         "convergent": None if r.convergent is None
-        else {"p": str(r.convergent.p), "q": str(r.convergent.q)},
+        else {"p": decimal_str(r.convergent.p), "q": decimal_str(r.convergent.q)},
         "gap_bound": None if r.gap_bound is None else rat(r.gap_bound),
         "gap": None if r.gap is None else interval(r.gap),
         "bound_dominates": r.bound_dominates,

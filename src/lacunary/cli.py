@@ -32,6 +32,7 @@ from .errors import (
     PrecisionUnattainable,
     TieEncountered,
 )
+from .intmath import decimal_str
 from .measure import AlgebraicTarget, approximation_measure, find_n1
 from .schedule import GrowthWindow, PowerSchedule, validate_growth
 from .series import LacunarySeries
@@ -165,14 +166,17 @@ def cmd_digits(cfg: RunConfig) -> str:
 
 def cmd_convergents(cfg: RunConfig) -> str:
     comp = _build_composite(cfg)
-    lines = []
-    for n in range(cfg.n_from, cfg.n_to + 1):
-        c1 = comp.s1.partial_sum(n)
-        c2 = comp.s2.partial_sum(n)
-        cc = composite_convergent(comp, n)
-        lines.append(f"n={n} theta1={c1.p}/{c1.q} theta2={c2.p}/{c2.q} "
-                     f"{cfg.op.value}={cc.p}/{cc.q}")
-    return "\n".join(lines) + "\n" if lines else ""
+    # every index is built before any is formatted, so a refusal at a
+    # later index costs no decimal output
+    rows = [(n, comp.s1.partial_sum(n), comp.s2.partial_sum(n),
+             composite_convergent(comp, n))
+            for n in range(cfg.n_from, cfg.n_to + 1)]
+
+    def frac(c) -> str:
+        return f"{decimal_str(c.p)}/{decimal_str(c.q)}"
+
+    return "".join(f"n={n} theta1={frac(c1)} theta2={frac(c2)} {cfg.op.value}={frac(cc)}\n"
+                   for n, c1, c2, cc in rows)
 
 
 def cmd_witness(cfg: RunConfig) -> str:

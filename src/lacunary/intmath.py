@@ -1,13 +1,15 @@
 """Exact integer and rational helpers: the size gate, roots, power
 decompositions, decimal output.
 
-Everything here is pure integer/Fraction arithmetic; no float enters
-this module at all.
+Everything here is exact integer, Fraction or trapped-Inexact Decimal
+arithmetic; no float enters this module at all.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 from .errors import ExponentBudgetExceeded
@@ -15,6 +17,8 @@ from .errors import ExponentBudgetExceeded
 __all__ = [
     "MATERIALIZE_BITS",
     "check_power",
+    "decimal_str",
+    "int_label",
     "introot",
     "primitive_power",
     "floor_log10",
@@ -27,6 +31,20 @@ __all__ = [
 MATERIALIZE_BITS = 1 << 25
 
 
+# Certificates legitimately carry integers with 10**5+ digits; the
+# interpreter's int-to-str guard (CVE-2020-10735 mitigation) would refuse
+# them.  Decimal output of exactly these integers is decimal_str's
+# contract, so the limit is lifted.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
+# Up to this many bits plain str(n) is faster than decimal_str's divide
+# and conquer (the crossover measured on CPython 3.11.7).
+STR_CUTOVER_BITS = 1 << 15
+# Pieces at most this wide are converted directly by Decimal(int).
+_LEAF_BITS = 1 << 12
+
+
 def check_power(base, e: int, base_bits: int) -> None:
     """Refuse to build base**e when e * base_bits is over the cap.
 
@@ -34,8 +52,55 @@ def check_power(base, e: int, base_bits: int) -> None:
     """
     if e * base_bits > MATERIALIZE_BITS:
         raise ExponentBudgetExceeded(
-            f"{base}**{e} would need about {e * base_bits} bits, "
+            f"{base}**{int_label(e)} would need about {int_label(e * base_bits)} bits, "
             f"over the {MATERIALIZE_BITS}-bit materialization cap")
+
+
+def int_label(x: int) -> str:
+    """x in decimal up to 64 bits, else named by its bit length, so that a
+    refusal about a huge number stays cheap to format and to read."""
+    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
+
+
+def decimal_str(n: int) -> str:
+    """str(n), in subquadratic time for huge n.
+
+    CPython before 3.12 converts int to str in quadratic time.  Above
+    STR_CUTOVER_BITS, n is split by bit halves and rebuilt as a
+    decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
+    algorithm, CPython 3.12's Lib/_pylong.py).  The context has unbounded
+    precision and exponent range and traps Inexact, so a rounding raises
+    instead of misprinting.  The memo of powers of two lives for one call.
+    """
+    if n.bit_length() <= STR_CUTOVER_BITS:
+        return str(n)
+    D = decimal.Decimal
+    pow2 = {}
+
+    def two_to(w):
+        r = pow2.get(w)
+        if r is None:
+            if w <= _LEAF_BITS:
+                r = D(1 << w)
+            else:
+                r = two_to(w >> 1) * two_to(w - (w >> 1))
+            pow2[w] = r
+        return r
+
+    def rebuild(m, w):  # Decimal(m) for 0 <= m < 2**w
+        if w <= _LEAF_BITS:
+            return D(m)
+        h = w >> 1
+        hi = m >> h
+        return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * two_to(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(rebuild(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 def introot(n: int, k: int) -> tuple[int, bool]:

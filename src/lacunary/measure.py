@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidConfigError, NoSignChange, NotFound, TieEncountered
 from .interval import RationalInterval
-from .intmath import check_power
+from .intmath import check_power, decimal_str
 from .powercmp import Ordering, PurePower, power_vs_threshold
 from .witness import CompositeNumber, value_enclosure
 
@@ -73,7 +73,7 @@ def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
         f"base: 2*H*d^2 = {base}",
         f"exponent: 1+4*d = {expo}",
         f"bound: 1/({base})^{expo}",
-        f"denominator: {bound.denominator}",
+        f"denominator: {decimal_str(bound.denominator)}",
     )
     return MeasureBound(bound=bound, n1=None, derivation=derivation)
 

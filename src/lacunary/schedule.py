@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List
 
 from .errors import ExponentBudgetExceeded, InvalidConfigError, NonIntegralExponent
-from .intmath import MATERIALIZE_BITS, introot
+from .intmath import MATERIALIZE_BITS, int_label, introot
 from .powercmp import Ordering, PurePower, compare, power_vs_threshold
 
 DEFAULT_BUDGET_BITS = 20
@@ -76,10 +76,10 @@ class PowerSchedule:
                 if not exact:
                     raise NonIntegralExponent(
                         f"a_{m + 1} = a_{m}**({power}) is not an integer: "
-                        f"a_{m} = {last} is not a perfect {v}-th power")
+                        f"a_{m} = {int_label(last)} is not a perfect {v}-th power")
                 if power_vs_threshold(PurePower(root, u + v), self._limit) is Ordering.GREATER:
                     raise ExponentBudgetExceeded(
-                        f"a_{m + 1} = {last}**({power}) exceeds the "
+                        f"a_{m + 1} = {int_label(last)}**({power}) exceeds the "
                         f"2**{self.budget_bits} exponent budget")
                 self._cache.append(root ** (u + v))
         return self._cache[n - 1]

@@ -24,7 +24,7 @@ from .errors import (
     InvalidConfigError,
     PrecisionUnattainable,
 )
-from .intmath import check_power
+from .intmath import check_power, decimal_str
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -165,8 +165,8 @@ def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
 def format_fixed(t: int, digits: int) -> str:
     """Render t * 10**-digits in plain decimal with `digits` places."""
     sign = "-" if t < 0 else ""
-    whole, frac = divmod(abs(t), 10 ** digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    s = decimal_str(abs(t)).zfill(digits + 1)
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
 def deepest_feasible(s: LacunarySeries) -> int:

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from lacunary import __version__
-from lacunary.certjson import dumps, loads
+from lacunary import __version__, certjson, cli, measure, series
+from lacunary.certjson import certificate_document, dumps, loads
 from lacunary.cli import main
-from lacunary.witness import gap_bound
+from lacunary.witness import Op, certify, gap_bound
 
 from conftest import CLI_ENV, build_example
 
@@ -262,3 +262,57 @@ def test_witness_stops_at_schedule_end():
     assert recs[-1]["error"].startswith("ExponentBudgetExceeded: a_6 = ")
     assert recs[-1]["notice"] == "a_6 does not exist, so indices 7..3000 are omitted"
     assert all(r["notice"] is None for r in recs[:-1])
+
+
+def test_measure_d_30000_prints_its_denominator_quickly():
+    proc = run_module("measure", "--d", "30000")
+    assert proc.returncode == 0, proc.stderr
+    line = next(x for x in proc.stdout.splitlines() if x.startswith("denominator: "))
+    text = line[len("denominator: "):]
+    den = (2 * 30000**2) ** (1 + 4 * 30000)
+    # int() of the 1.1M-digit text would be quadratic: check the length
+    # and the first 50 digits by one bracket, the last 50 digits mod 10**50
+    head, scale = int(text[:50]), 10 ** (len(text) - 50)
+    assert text[0] != "0" and head * scale <= den < (head + 1) * scale
+    assert den % 10**50 == int(text[-50:])
+
+
+@pytest.mark.parametrize("n,stderr", [
+    (26, "budget error: 3**<33554433-bit integer> would need about <33554434-bit integer> "
+         "bits, over the 33554432-bit materialization cap\n"),
+    (27, "budget error: a_27 = <33554433-bit integer>**(2) exceeds the 2**33554432 "
+         "exponent budget\n"),
+])
+def test_refusal_names_a_huge_exponent_by_bit_length(n, stderr):
+    # a_26 = 2**(2**25) fits the budget; its 10M decimal digits must not
+    # be printed into the refusal
+    proc = run_module("convergents", "--n-from", str(n), "--n-to", str(n),
+                      "--budget-bits", "33554432")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize("op,n_to", [(Op.SUM, 4), (Op.QUOTIENT, 3)])
+def test_certificate_bytes_do_not_depend_on_the_conversion(monkeypatch, op, n_to):
+    # the default witness certificate (and the quotient's), built once and
+    # emitted through decimal_str and through plain str
+    cert = certify(build_example(op), Fraction(3), (1, n_to))
+    fast = dumps(certificate_document(cert))
+    monkeypatch.setattr(certjson, "decimal_str", str)
+    same = dumps(certificate_document(cert)) == fast
+    assert same
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergents", "--n-to", "5"],
+    ["digits", "--digits", "12000", "--op", "product"],
+    ["measure", "--d", "3000"],
+])
+def test_text_output_does_not_depend_on_the_conversion(monkeypatch, capsys, argv):
+    code, fast, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for module in (cli, series, measure):
+        monkeypatch.setattr(module, "decimal_str", str)
+    code, slow, _ = run_cli(capsys, *argv)
+    same = code == 0 and slow == fast
+    assert same

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
+    _LEAF_BITS,
     MATERIALIZE_BITS,
+    STR_CUTOVER_BITS,
     check_power,
+    decimal_str,
     floor_log10,
+    int_label,
     introot,
     primitive_power,
     root_sci_string,
@@ -35,6 +40,43 @@ def test_check_power_refuses_only_over_the_cap():
     with pytest.raises(ExponentBudgetExceeded, match=r"^x\*\*33554433 would need about "
                        r"33554433 bits, over the 33554432-bit materialization cap$"):
         check_power("x", MATERIALIZE_BITS + 1, 1)
+    # a number over 64 bits is named by its bit length
+    with pytest.raises(ExponentBudgetExceeded, match=r"^3\*\*18446744073709551615 would "
+                       r"need about <65-bit integer> bits, over"):
+        check_power(3, 2**64 - 1, 2)
+    # e = 2**1000 stands in for the 2**(2**25) of a 33554432-bit budget
+    with pytest.raises(ExponentBudgetExceeded, match=r"^q_4\*\*<1001-bit integer> would need "
+                       r"about <1003-bit integer> bits, over the 33554432-bit "
+                       r"materialization cap$"):
+        check_power("q_4", 2**1000, 7)
+    assert int_label(2**64 - 1) == "18446744073709551615"
+    assert int_label(-(2**64)) == "<65-bit integer>"
+
+
+def _decimal_str_cases():
+    """0, +-1, powers of 2 and 10 and their neighbours at and around the
+    cut-over and the split widths, and seeded random widths up to 400k bits."""
+    cases = [0, 1]
+    for w in (_LEAF_BITS, 2 * _LEAF_BITS, STR_CUTOVER_BITS, 2 * STR_CUTOVER_BITS,
+              4 * STR_CUTOVER_BITS):
+        j = w * 30103 // 100000  # 10**j has about w bits
+        for x in (2**(w - 1), 2**w, 2**(w + 1), 10**j, 10**(j + 1)):
+            cases += [x - 1, x, x + 1]
+    rng = random.Random(20261018)
+    for width in [rng.randint(1, 400_000) for _ in range(3)] + [
+            int(400_000 ** rng.random()) + 1 for _ in range(60)]:
+        cases.append(rng.getrandbits(width) | 1 << (width - 1))
+    return cases
+
+
+def test_decimal_str_matches_str():
+    # failures are reported by bit length: a diff of the strings is too big
+    wrong = []
+    for n in _decimal_str_cases():
+        want = str(n)
+        if decimal_str(n) != want or n and decimal_str(-n) != "-" + want:
+            wrong.append(n.bit_length())
+    assert wrong == []
 
 
 def test_introot_edge_cases():
