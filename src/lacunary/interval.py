@@ -30,6 +30,11 @@ class RationalInterval:
         x = Fraction(x)
         return cls(x, x)
 
+    @classmethod
+    def dyadic(cls, lo: int, hi: int, k: int) -> "RationalInterval":
+        """[lo * 2**-k, hi * 2**-k]."""
+        return cls(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -50,7 +50,7 @@ class PowerSchedule:
         self._limit = 1 << budget_bits
         if a1 > self._limit:
             raise ExponentBudgetExceeded(
-                f"a_1 = {a1} already exceeds the 2**{budget_bits} exponent budget")
+                f"a_1 = {int_label(a1)} already exceeds the 2**{budget_bits} exponent budget")
         self._cache: List[int] = [a1]
         self._lock = threading.Lock()
 

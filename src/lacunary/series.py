@@ -6,9 +6,11 @@ by g, so N = 1 (mod g) and the fraction is already reduced; the reduced
 denominator g**a_n is an invariant this module actively checks.
 
 Partial sums are materialized on demand: q_n has Theta(a_n) digits, so
-construction of g**e passes the intmath size gate first.  Tail bounds come in
-two grades: the citable pair (1/g**a_{n+1}, 2/g**a_{n+1}) and the
-tighter certified bound g/(g-1) * g**(-a_{n+1}) behind every enclosure.
+construction of g**e passes the intmath size gate first.  Enclosures are
+dyadic: integers [lo, hi] on the 2**-k grid for a working precision k
+picked from the question, with the tail bounded by bit lengths.  The
+citable tail pair is (1/g**a_{n+1}, 2/g**a_{n+1}); the certified bound
+is g/(g-1) * g**(-a_{n+1}).
 """
 
 from __future__ import annotations
@@ -22,11 +24,15 @@ from .errors import (
     ExponentBudgetExceeded,
     InternalError,
     InvalidConfigError,
+    NonIntegralExponent,
     PrecisionUnattainable,
 )
 from .intmath import check_power, decimal_str
 from .interval import RationalInterval
 from .schedule import PowerSchedule
+
+# Working precision beyond the size of the quantity a decision needs.
+GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
-        self._enclosures: dict[int, RationalInterval] = {}
+        self._dyadic: dict[int, tuple] = {}
 
     def __repr__(self) -> str:
         return f"LacunarySeries(base={self.base}, schedule={self.schedule!r})"
@@ -87,55 +93,98 @@ class LacunarySeries:
         return Fraction(1, step), Fraction(2, step)
 
     def rigorous_tail_upper(self, n: int) -> Fraction:
-        """Certified bound g/(g-1) * g**(-e) on the tail past n terms.
-
-        e = a_{n+1}: exponents increase by at least 1, so the tail is
-        dominated by the geometric series with ratio 1/g.  When a_{n+1}
-        is over the exponent budget or the materialization cap, e falls
-        back to 2*a_n, still sound because each step multiplies the
-        exponent by an integer factor >= 2.
-        """
-        try:
-            step = self._power(self.schedule.exponent(n + 1))
-        except ExponentBudgetExceeded:
-            step = self._power(2 * self.schedule.exponent(n))
+        """Certified bound g/(g-1) * g**(-a_{n+1}) on the tail past n terms:
+        exponents increase by at least 1, so the tail is dominated by the
+        geometric series with ratio 1/g."""
+        step = self._power(self.schedule.exponent(n + 1))
         return Fraction(self.base, (self.base - 1) * step)
 
+    def depth_bits(self, m: int) -> int:
+        """The precision at which `dyadic` sums exactly m terms, as fine as
+        the tail of the exact m-term enclosure."""
+        return exponent_after(self.schedule, m)[0] * (self.base.bit_length() - 1) - 3
+
+    def dyadic(self, k: int) -> tuple:
+        """theta in [lo, hi] * 2**-j, as (lo, hi, j, terms, end).
+
+        With b = bits(g) - 1, so that g**a >= 2**(a*b), lo sums (2**j) //
+        g**a_m over the M = `terms` exponents with a_m*b <= k+2 (a_1
+        always) and falls short by under M units.  The tail is under
+        g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a quarter unit if
+        e*b >= k+3, so hi = lo + M + 1, j = k and the width is (M + c) *
+        2**-k with c = 1.  Otherwise the schedule ended first (`end` is
+        its refusal) and no k narrows the interval: j drops to
+        e*bits(g) + GUARD_BITS and the tail is rounded up.
+        """
+        got = self._dyadic.get(k)
+        if got is not None:
+            return got
+        g, b = self.base, self.base.bit_length() - 1
+        exps = [self.schedule.exponent(1)]
+        while True:
+            try:
+                e, end = exponent_after(self.schedule, len(exps))
+            except NonIntegralExponent as exc:
+                if len(exps) == 1:
+                    raise
+                e, end = exps.pop(), exc  # no a_{M+1}: the tail starts at a_M
+            if end is not None or e * b > k + 2:
+                break
+            exps.append(e)
+        short = e * b < k + 3
+        j = min(k, e * g.bit_length() + GUARD_BITS) if short else k
+        check_power(2, j, 1)
+        tail = -(-(g << j) // ((g - 1) * self._power(e))) if short else 1
+        lo = sum((1 << j) // self._power(a) for a in exps if a * b <= j)
+        got = self._dyadic[k] = (lo, lo + len(exps) + tail, j, len(exps), end if short else None)
+        return got
+
     def enclose(self, n_terms: int) -> RationalInterval:
-        """Exact interval containing theta, width shrinking in n_terms."""
-        iv = self._enclosures.get(n_terms)
-        if iv is None:
-            s = self.partial_sum(n_terms).fraction
-            iv = self._enclosures[n_terms] = RationalInterval(
-                s, s + self.rigorous_tail_upper(n_terms))
-        return iv
+        """Interval containing theta: `dyadic` at `depth_bits(n_terms)`."""
+        lo, hi, k, _, _ = self.dyadic(self.depth_bits(n_terms))
+        return RationalInterval.dyadic(lo, hi, k)
 
     def decimal_digits(self, digits: int) -> str:
         """Decimal expansion of theta truncated toward zero to `digits` places."""
-        return certified_digits(self.enclose, digits)
+        return certified_digits(self.dyadic, digits)
+
+
+def exponent_after(schedule: PowerSchedule, m: int) -> tuple:
+    """(a_{m+1}, None), or (2*a_m, the refusal) once a_{m+1} is over the
+    exponent budget: a_{m+1} = a_m * r**u >= 2*a_m for a_m = r**v."""
+    try:
+        return schedule.exponent(m + 1), None
+    except ExponentBudgetExceeded as exc:
+        return 2 * schedule.exponent(m), exc
 
 
 def certified_digits(enclose, digits: int) -> str:
     """Toward-zero expansion to `digits` places of the value that every
-    `enclose(depth)` interval contains.
+    dyadic enclosure `enclose(k)` (as `LacunarySeries.dyadic`) contains.
 
-    Correctness is certified by interval agreement: depths 1, 2, ... are
-    tried until both endpoints truncate identically.  The loop ends by
-    depth 25 at the latest: a_{m+1} >= 2*a_m, so g**a_m is over the size
-    cap by then and `enclose` refuses.
+    k starts at ceil(digits*log2(10)) + GUARD_BITS and doubles until both
+    ends truncate alike; the schedule's end or the size gate stops it.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
-    for depth in itertools.count(1):
-        try:
-            iv = enclose(depth)
-        except ExponentBudgetExceeded as exc:
-            raise PrecisionUnattainable(
-                f"no enclosure tight enough for {digits} decimal places "
-                f"within the configured budgets") from exc
-        s = digits_from_interval(iv, digits)
-        if s is not None:
-            return s
+    k = digits * 3322 // 1000 + GUARD_BITS + 1
+    try:
+        while True:
+            lo, hi, j, _, end = enclose(k)
+            # a width of 2**(1-3*digits) > 2 * 10**-digits separates the
+            # truncations, so it is refused before 10**digits is built
+            if hi - lo < 1 << max(0, j + 1 - 3 * digits):
+                scale = 10 ** digits
+                t = [-(-x * scale >> j) if x < 0 else x * scale >> j for x in (lo, hi)]
+                if t[0] == t[1]:
+                    return format_fixed(t[0], digits)
+            if end is not None:
+                raise end
+            k *= 2
+    except ExponentBudgetExceeded as exc:
+        raise PrecisionUnattainable(
+            f"no enclosure tight enough for {digits} decimal places "
+            f"within the configured budgets") from exc
 
 
 def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
@@ -170,12 +219,11 @@ def format_fixed(t: int, digits: int) -> str:
 
 
 def deepest_feasible(s: LacunarySeries) -> int:
-    """Largest depth m for which enclose(s, m) stays within every budget.
+    """Largest depth m with a_m inside the exponent budget and
+    base**(2*a_m) under the size cap.
 
-    Checks the worst case per level: the partial sum needs base**a_m and
-    the tail bound may fall back to base**(2*a_m).  Stops at the schedule
-    end or the first size refusal, by m = 25 since a_m >= 2**m.  Returns
-    0 when even one term is out of reach.
+    Stops at the schedule end or the first size refusal, by m = 25 since
+    a_m >= 2**m.  Returns 0 when even one term is out of reach.
     """
     for deepest in itertools.count():
         try:

@@ -11,8 +11,9 @@ transcendence argument consumes at that index:
   * the threshold index n0 past which g2**a_{n+1} dominates
     (g1*g2)**(d*a_n), decided without materializing either side;
   * the strict approximation test: gap < q_n**(-d_eff), decided by exact
-    cleared-power comparisons on enclosure endpoints, with the certified
-    margin reported;
+    cleared-power comparisons on the ends of a dyadic gap enclosure whose
+    working precision doubles until it decides, with the certified margin
+    reported;
   * an interval for the empirical approximation exponent
     -ln(gap)/ln(q_n).
 
@@ -37,14 +38,13 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import check_power, root_sci_string
+from .intmath import MATERIALIZE_BITS, check_power, root_sci_string
 from .interval import RationalInterval
 from .logenc import ln_int_interval, ln_of_interval
 from .powercmp import Ordering, PurePower, compare
-from .series import Convergent, LacunarySeries, certified_digits, deepest_feasible
+from .series import (GUARD_BITS, Convergent, LacunarySeries, certified_digits,
+                     exponent_after)
 
-# Enclosure depth for the constants inside product/quotient gap bounds.
-_CONSTANT_DEPTH = 4
 _MARGIN_DIGITS = 8
 
 
@@ -55,13 +55,15 @@ class Op(enum.Enum):
     QUOTIENT = "quotient"
 
 
-# One table for Fractions and RationalIntervals alike; the second operand
-# of a quotient is always positive.
+# Each op on Fractions, and on [lo, hi] * 2**-j ends with outward
+# rounding (both series are positive).
 _APPLY = {
-    Op.SUM: operator.add,
-    Op.DIFFERENCE: operator.sub,
-    Op.PRODUCT: operator.mul,
-    Op.QUOTIENT: operator.truediv,
+    Op.SUM: (operator.add, lambda l1, h1, l2, h2, j: (l1 + l2, h1 + h2)),
+    Op.DIFFERENCE: (operator.sub, lambda l1, h1, l2, h2, j: (l1 - h2, h1 - l2)),
+    Op.PRODUCT: (operator.mul,
+                 lambda l1, h1, l2, h2, j: (l1 * l2 >> j, -(-h1 * h2 >> j))),
+    Op.QUOTIENT: (operator.truediv,
+                  lambda l1, h1, l2, h2, j: ((l1 << j) // h2, -((-h1 << j) // l2))),
 }
 
 
@@ -103,27 +105,51 @@ def composite_convergent(c: CompositeNumber, n: int) -> Convergent:
     with a common factor the reduced denominator is recorded as-is
     rather than assumed to be (g1*g2)**a_n.
     """
-    f = _APPLY[c.op](c.s1.partial_sum(n).fraction, c.s2.partial_sum(n).fraction)
+    f = _APPLY[c.op][0](c.s1.partial_sum(n).fraction, c.s2.partial_sum(n).fraction)
     return Convergent(n, f.numerator, f.denominator)
 
 
+def _value_dyadic(c: CompositeNumber, k: int) -> tuple:
+    """The composite value in [lo, hi] * 2**-j, as `LacunarySeries.dyadic`
+    returns it: both series at one precision, combined by the op table."""
+    if c.op is Op.QUOTIENT:  # theta2 > g2**-a1: keep its lower end off 0
+        k = max(k, c.schedule.exponent(1) * c.g2.bit_length() + GUARD_BITS)
+    j = min(c.s1.dyadic(k)[2], c.s2.dyadic(k)[2])
+    l1, h1, _, t1, end1 = c.s1.dyadic(j)
+    l2, h2, _, t2, end2 = c.s2.dyadic(j)
+    return (*_APPLY[c.op][1](l1, h1, l2, h2, j), j, max(t1, t2), end1 or end2)
+
+
+def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
+    """|value - p/q| in [lo, hi] * 2**-j, as `_value_dyadic` returns it."""
+    lo, hi, j, terms, end = _value_dyadic(c, k)
+    lo -= -((-conv.p << j) // conv.q)  # ceil(p/q * 2**j)
+    hi -= (conv.p << j) // conv.q
+    if hi < 0:
+        lo, hi = -hi, -lo
+    elif lo < 0:
+        lo, hi = 0, max(-lo, hi)
+    return lo, hi, j, terms, end
+
+
 def value_enclosure(c: CompositeNumber, depth: int) -> RationalInterval:
-    """Exact interval containing the composite value, from per-series
-    enclosures at `depth` terms combined with interval arithmetic."""
-    return _APPLY[c.op](c.s1.enclose(depth), c.s2.enclose(depth))
+    """Interval containing the composite value, at the precision of the
+    exact per-series enclosures of `depth` terms."""
+    lo, hi, k, _, _ = _value_dyadic(c, c.s2.depth_bits(depth))  # g2 < g1: the coarser
+    return RationalInterval.dyadic(lo, hi, k)
 
 
 def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterval:
-    """Interval enclosing |value - convergent_n| from a depth-`depth`
-    value enclosure.  depth <= n is legal but yields a one-sided interval
-    with lower endpoint 0, useless for certification."""
-    return (value_enclosure(c, depth) - composite_convergent(c, n).fraction).abs()
+    """Interval enclosing |value - convergent_n| at the precision of a
+    depth-`depth` value enclosure.  depth <= n is legal but yields a
+    one-sided interval with lower endpoint 0, useless for certification."""
+    lo, hi, k, _, _ = _gap_dyadic(c, composite_convergent(c, n), c.s2.depth_bits(depth))
+    return RationalInterval.dyadic(lo, hi, k)
 
 
-def _gated_pow(x, e: int, what: str) -> Fraction:
-    """Fraction(x)**e, refused by the size gate before it is built."""
-    x = Fraction(x)
-    check_power(what, e, max(x.numerator.bit_length(), x.denominator.bit_length()))
+def _gated_pow(x: int, e: int, what: str) -> int:
+    """x**e, refused by the size gate before it is built."""
+    check_power(what, e, x.bit_length())
     return x ** e
 
 
@@ -140,11 +166,9 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     step = c.s2._power(a_next)
     if c.op in (Op.SUM, Op.DIFFERENCE):
         return Fraction(4, step)
-    if c.op is Op.PRODUCT:
-        depth = min(_CONSTANT_DEPTH,
-                    deepest_feasible(c.s1), deepest_feasible(c.s2)) or 1
-        up = 2 * (1 + c.s1.enclose(depth).hi + c.s2.enclose(depth).hi)
-        return up / step
+    if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
+        h1, h2 = c.s1.dyadic(GUARD_BITS)[1], c.s2.dyadic(GUARD_BITS)[1]
+        return Fraction(2 * ((1 << GUARD_BITS) + h1 + h2), step << GUARD_BITS)
     # quotient
     if n < 2:
         raise InvalidConfigError("n", "quotient gap bound requires n >= 2")
@@ -209,7 +233,8 @@ class RothCheck:
     `margin` is the certified ratio gap/threshold as a decimal string:
     the upper-endpoint ratio for a pass (< 1), the lower-endpoint ratio
     for a certified fail (>= 1).  `tie` marks an exact hit of the
-    threshold by the certified endpoint.
+    threshold by the certified endpoint.  `depth` is the number of terms
+    per series summed at the working precision that decided.
     """
 
     n: int
@@ -224,41 +249,41 @@ class RothCheck:
 def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
     """Decide gap < q_n**(-d_eff) with a certified margin.
 
-    The irrational threshold is cleared: for d_eff = u/v,
-    gap.hi < q**(-u/v) iff gap.hi**v * q**u < 1, an exact rational
-    comparison.  Starts at enclosure depth n+2 and deepens until the
-    comparison is decided or the budget is exhausted; each cleared power
-    passes the size gate first.
+    The gap is enclosed as [lo, hi] * 2**-k from k = a_{n+1}*log2(g2) +
+    GUARD_BITS, about GUARD_BITS finer than the gap.  The irrational
+    threshold is cleared: for d_eff = u/v, gap < q**(-u/v) iff gap**v *
+    q**u < 1, so hi**v * q**u < 2**(k*v) certifies a pass and lo**v *
+    q**u >= 2**(k*v) a fail, exact integer tests on gated powers.  k
+    doubles until one holds, up to the schedule's end or the size cap.
     """
     d_eff = Fraction(d_eff)
     if d_eff <= 2:
         raise InvalidConfigError("d_eff", f"effective exponent must exceed 2, got {d_eff}")
     if c.op is Op.QUOTIENT and n < 2:
         raise InvalidConfigError("n", "quotient verification starts at n=2")
-    q = composite_convergent(c, n).q
+    conv = composite_convergent(c, n)
     u, v = d_eff.numerator, d_eff.denominator
-    dmax = min(deepest_feasible(c.s1), deepest_feasible(c.s2))
-    if dmax < 1:
-        raise InsufficientDepth("no enclosure depth is feasible within the budget")
-    qs = None  # q**u, built once gap.hi**v (usually the wider) has passed the gate
-    for depth in range(min(n + 2, dmax), dmax + 1):
-        gap = true_gap_enclosure(c, n, depth)
-        hi_pow = _gated_pow(gap.hi, v, "gap.hi")
-        if qs is None:
-            qs = _gated_pow(q, u, f"q_{n}")
-        hi_stat = hi_pow * qs
-        if hi_stat < 1:
-            return RothCheck(n=n, d_eff=d_eff, passed=True, tie=False,
-                             margin=root_sci_string(hi_stat, v, _MARGIN_DIGITS),
-                             depth=depth, gap=gap)
-        lo_stat = _gated_pow(gap.lo, v, "gap.lo") * qs
-        if lo_stat >= 1:
-            return RothCheck(n=n, d_eff=d_eff, passed=False, tie=lo_stat == 1,
-                             margin=root_sci_string(lo_stat, v, _MARGIN_DIGITS),
-                             depth=depth, gap=gap)
-    raise InsufficientDepth(
-        f"no feasible enclosure depth (up to {dmax}) separates the gap at n={n} "
-        f"from the threshold")
+    a_next = exponent_after(c.schedule, n)[0]
+    k = -(-a_next * (c.g2 ** 64).bit_length() // 64) + GUARD_BITS
+    qs = _gated_pow(conv.q, u, f"q_{n}")
+    while True:
+        lo, hi, k, depth, end = _gap_dyadic(c, conv, k)
+        stat = _gated_pow(hi, v, "gap.hi") * qs
+        passed = stat.bit_length() <= k * v
+        if not passed:
+            stat = _gated_pow(lo, v, "gap.lo") * qs
+        if passed or stat.bit_length() > k * v:
+            return RothCheck(
+                n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
+                margin=root_sci_string(Fraction(stat, 1 << k * v), v, _MARGIN_DIGITS),
+                depth=depth, gap=RationalInterval.dyadic(lo, hi, k))
+        if isinstance(end, NonIntegralExponent):
+            raise end
+        if end is not None or 2 * k > MATERIALIZE_BITS:
+            raise InsufficientDepth(
+                f"no working precision up to {k} bits separates the gap at n={n} "
+                f"from the threshold")
+        k *= 2
 
 
 def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterval:
@@ -416,16 +441,16 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: Fraction,
     du, dv = d.numerator, d.denominator
     ps1 = c.s1.partial_sum(n)
     ps2 = c.s2.partial_sum(n)
-    depth = min(_CONSTANT_DEPTH, deepest_feasible(c.s2)) or 1
-    theta2_up = c.s2.enclose(depth).hi
-    gap_pow = _gated_pow(gap_hi, dv, "gap.hi")
-    q_form = gap_pow * _gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < Fraction(4) ** dv
-    p_form = (gap_pow * _gated_pow(ps1.q * ps2.p, du, "(q1*p2)")
-              < _gated_pow(4 * (1 + theta2_up), dv, "(4*(1+theta2))"))
+    h2 = c.s2.dyadic(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
+    num = _gated_pow(gap_hi.numerator, dv, "gap.hi")
+    den = _gated_pow(gap_hi.denominator, dv, "gap.hi")
+    q_form = num * _gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 4 ** dv * den
+    p_form = (num * _gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
+              < _gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") * den)
     return QuotientForms(q_denominator_form=q_form, p_denominator_form=p_form)
 
 
 def composite_digits(c: CompositeNumber, digits: int) -> str:
     """Toward-zero decimal expansion of the composite value, certified by
     enclosure agreement exactly like the per-series version."""
-    return certified_digits(lambda depth: value_enclosure(c, depth), digits)
+    return certified_digits(lambda k: _value_dyadic(c, k), digits)

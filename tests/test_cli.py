@@ -254,6 +254,34 @@ def test_digits_out_of_reach_exits_3():
                            "places within the configured budgets\n")
 
 
+def test_digits_past_a_huge_second_exponent():
+    # a_2 = 2**24 is in a 25-bit budget and 3**(2**24) is under the size
+    # cap; 50 places need about 230 bits, so that power is never built
+    proc = run_module("digits", "--budget-bits", "25", "--a1", "4096", "--digits", "50")
+    assert proc.returncode == 0, proc.stderr
+    # every later term is under 2**-(2**24), so the first one fixes 50 places
+    want = [series.format_fixed(int(f * 10**50), 50)
+            for f in (Fraction(1, 3**4096), Fraction(1, 2**4096),
+                      Fraction(1, 3**4096) + Fraction(1, 2**4096))]
+    assert proc.stdout == (f"theta1(g=3) = {want[0]}\ntheta2(g=2) = {want[1]}\n"
+                           f"sum = {want[2]}\n")
+
+
+def test_default_certificate_size():
+    # dyadic gap ends carry about as many bits as the gap itself
+    assert len(cli.cmd_witness(cli.RunConfig()).encode()) <= 80_000
+
+
+def test_huge_first_exponent_refusal_names_its_bit_length(capsys):
+    code, out, err = run_cli(capsys, "validate", "--a1", str(2**20000))
+    assert code == 3 and out == ""
+    assert err == ("budget error: a_1 = <20001-bit integer> already exceeds the 2**20 "
+                   "exponent budget\n")
+    code, _, err = run_cli(capsys, "validate", "--a1", str(2**64 - 1))
+    assert err == (f"budget error: a_1 = {2**64 - 1} already exceeds the 2**20 "
+                   "exponent budget\n")
+
+
 def test_witness_stops_at_schedule_end():
     proc = run_module("witness", "--n-to", "3000")
     assert proc.returncode == 0, proc.stderr

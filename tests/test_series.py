@@ -191,15 +191,78 @@ def test_power_refusal_text_is_pinned():
 
 
 def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
-    # a_6 is over the exponent budget (20 bits) or over the materialization
-    # cap (a_6 = 2**32 at 33 bits); either way the bound uses 2*a_5 = 131072
-    for bits in (20, 33):
-        assert make_series(2, budget_bits=bits).rigorous_tail_upper(5) == Fraction(2, 2**131072)
+    # The 2*a_n fallback lives in the dyadic enclosure and builds no power.
+    # At 20 bits a_6 is over the exponent budget: the tail past a_5 = 65536
+    # is bounded from 2*a_5 = 131072, the enclosure stops narrowing there
+    # (j = 131072*bits(2) + 64) and reports the refusal; the Fraction bound
+    # needs a_6 itself.
+    s = make_series(2, budget_bits=20)
+    lo, hi, j, terms, end = s.dyadic(1 << 20)
+    assert isinstance(end, ExponentBudgetExceeded) and terms == 5
+    assert j == 2 * 131072 + 64 and hi - lo == 5 + (1 << (j - 131071))
+    with pytest.raises(ExponentBudgetExceeded):
+        s.rigorous_tail_upper(5)
+    # At 33 bits a_6 = 2**32 is in the budget: its bit length bounds the
+    # tail at any precision, and 2**(2**32) is never built.
+    lo, hi, j, terms, end = make_series(2, budget_bits=33).dyadic(1 << 20)
+    assert end is None and (j, terms, hi - lo) == (1 << 20, 5, 6)
 
 
 def test_enclosures_are_built_once_per_depth():
+    # enclose(3) is the dyadic enclosure at the precision of the exact
+    # depth-3 tail, 3**-256: a_4*(bits(3)-1) - 3 = 253 bits, memoized by k
     s = make_series(3)
-    assert s.enclose(3) is s.enclose(3)
+    assert s.depth_bits(3) == 253
+    assert s.enclose(3) == s.enclose(3)
+    assert list(s._dyadic) == [253] and s.dyadic(253) is s.dyadic(253)
+
+
+# Schedules for the dyadic property tests: a1 in {2, 3} with beta 1 and 2,
+# and beta = 1/2 from square a1 (a_3 is not an integer after a1 = 4, a_4
+# not after a1 = 16), so enclosures end at the schedule as well.
+DYADIC_SCHEDULES = [(a1, Fraction(beta)) for a1 in (2, 3) for beta in (1, 2)] + [
+    (4, Fraction(1, 2)), (16, Fraction(1, 2))]
+DYADIC_PRECISIONS = (8, 9, 10, 31, 64, 65, 66, 200, 254, 255, 1023, 4096, 20000, 65533,
+                     65534, 70000)
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_dyadic_enclosure_contains_the_exact_interval(base):
+    # [lo, hi] * 2**-j contains [S_M, S_M + g/(g-1) * g**-e] for the M terms
+    # it sums and e = a_{M+1} (2*a_M past the budget), checked on cleared
+    # integers.  With the tail under a quarter unit its width is exactly
+    # (M + 1) * 2**-k: each floored term loses under one unit, plus one
+    # for the tail (the constant c = 1 of the docstring).
+    b = base.bit_length() - 1
+    for a1, beta in DYADIC_SCHEDULES:
+        s = make_series(base, a1, beta)
+        for k in DYADIC_PRECISIONS:
+            lo, hi, j, terms, end = s.dyadic(k)
+            exps = [s.schedule.exponent(m) for m in range(1, terms + 1)]
+            try:
+                e = s.schedule.exponent(terms + 1)
+            except ExponentBudgetExceeded:
+                e = 2 * exps[-1]
+            conv = s.partial_sum(terms)
+            step = (base - 1) * base ** e
+            assert lo * conv.q <= conv.p << j
+            assert hi * conv.q * step >= (conv.p * step + base * conv.q) << j
+            assert all(a * b <= k + 2 for a in exps[1:])
+            if end is None:
+                assert j == k and e * b > k + 2 and hi - lo == terms + 1
+            else:
+                assert j <= k and e * b <= k + 2
+                assert hi - lo == terms - (-(base << j) // step)
+
+
+@pytest.mark.parametrize("base", (2, 3, 7))
+def test_dyadic_enclosure_sums_every_term_inside_the_rule(base):
+    # exponents right at the rule's edge a*(bits(g)-1) = k+2 are summed;
+    # one past it they are left to the tail
+    b = base.bit_length() - 1
+    s = make_series(base)
+    for a in (16, 256):
+        assert s.dyadic(a * b - 2)[3] == s.dyadic(a * b - 3)[3] + 1
 
 
 def test_deepest_feasible():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from lacunary.errors import (
     InvalidConfigError,
     NotFound,
 )
+from lacunary.interval import RationalInterval
 from lacunary.schedule import PowerSchedule
 from lacunary.series import Convergent, LacunarySeries
 from lacunary.witness import (
@@ -20,6 +22,7 @@ from lacunary.witness import (
     empirical_exponent,
     find_n0,
     gap_bound,
+    _value_dyadic,
     true_gap_enclosure,
     value_enclosure,
     verify_roth_instance,
@@ -86,6 +89,35 @@ def test_value_enclosure_contains_reference_value(op):
         assert lo <= v <= hi
 
 
+@pytest.mark.parametrize("op", list(Op))
+def test_dyadic_value_enclosure_agrees_with_mpmath(op):
+    # ends outward-rounded on the 2**-3000 grid, against the five terms
+    # up to 2**-65536 summed independently at 4000 bits
+    lo, hi, j, _, end = _value_dyadic(build_example(op), 3000)
+    assert end is None and j >= 3000
+    v = mp_value(op)
+    with mpmath.workprec(4000):
+        assert mpmath.mpf(lo) / 2**j < v < mpmath.mpf(hi) / 2**j
+
+
+@pytest.mark.parametrize("op", list(Op))
+def test_dyadic_combination_rounds_outward(op):
+    # the composite ends contain the exact interval combination of the two
+    # series' dyadic ends, at every precision and for unlike bases
+    for g1, g2, a1 in ((3, 2, 2), (7, 5, 2), (12, 11, 3)):
+        sched = PowerSchedule(a1, Fraction(1))
+        c = CompositeNumber(op, LacunarySeries(g1, sched), LacunarySeries(g2, sched))
+        for k in (8, 9, 63, 64, 65, 200, 1000, 4097):
+            lo, hi, j, _, _ = _value_dyadic(c, k)
+            l1, h1, _, _, _ = c.s1.dyadic(j)
+            l2, h2, _, _, _ = c.s2.dyadic(j)
+            x = RationalInterval(Fraction(l1, 2**j), Fraction(h1, 2**j))
+            y = RationalInterval(Fraction(l2, 2**j), Fraction(h2, 2**j))
+            exact = {Op.SUM: operator.add, Op.DIFFERENCE: operator.sub,
+                     Op.PRODUCT: operator.mul, Op.QUOTIENT: operator.truediv}[op](x, y)
+            assert exact.within(RationalInterval(Fraction(lo, 2**j), Fraction(hi, 2**j)))
+
+
 def test_true_gap_enclosure_example_window():
     c = build_example(Op.SUM)
     gap = true_gap_enclosure(c, 1, 3)
@@ -142,9 +174,11 @@ def test_roth_instance_example_indices():
     fail = verify_roth_instance(c, 2, Fraction(5, 2))
     assert not fail.passed and not fail.tie
     assert fail.margin == "9.2404528e+2"
-    assert fail.depth == 4
+    # depth: terms per series at the deciding working precision, which is
+    # 81 bits at n=2 (a_1..a_3 summed) and 324 bits at n=3 (a_1..a_4)
+    assert fail.depth == 3
     ok3 = verify_roth_instance(c, 3, Fraction(5, 2))
-    assert ok3.passed and ok3.margin == "1.1544393e-46" and ok3.depth == 5
+    assert ok3.passed and ok3.margin == "1.1544393e-46" and ok3.depth == 4
     ok4 = verify_roth_instance(c, 4, Fraction(5, 2))
     assert ok4.passed and ok4.margin == "5.1880530e-19231"
 
