@@ -13,6 +13,7 @@ error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -166,11 +167,15 @@ def cmd_digits(cfg: RunConfig) -> str:
 
 def cmd_convergents(cfg: RunConfig) -> str:
     comp = _build_composite(cfg)
-    # every index is built before any is formatted, so a refusal at a
-    # later index costs no decimal output
+    indices = range(cfg.n_from, cfg.n_to + 1)
+    # every index passes the partial-sum gate, in the order the rows are
+    # built, before any row is: a refusal at a later index builds nothing
+    for n in indices:
+        comp.s1.checked_exponent(n)
+        comp.s2.checked_exponent(n)
     rows = [(n, comp.s1.partial_sum(n), comp.s2.partial_sum(n),
              composite_convergent(comp, n))
-            for n in range(cfg.n_from, cfg.n_to + 1)]
+            for n in indices]
 
     def frac(c) -> str:
         return f"{decimal_str(c.p)}/{decimal_str(c.q)}"
@@ -233,7 +238,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  `parse_args` keeps no state on it,
+    so every `main` call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
     common.add_argument("--g1", metavar="INT", help="first base (must exceed g2)")

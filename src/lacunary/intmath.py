@@ -155,17 +155,26 @@ def primitive_power(b: int) -> tuple[int, int]:
     return b, t
 
 
+# 30102999566/10**11 < log10(2) < 30102999567/10**11
+_LOG10_2 = (30102999566, 30102999567)
+_LOG10_2_DEN = 10 ** 11
+
+
 def floor_log10(x: Fraction) -> int:
     """Exact floor(log10(x)) for x > 0."""
     if x <= 0:
         raise ValueError("floor_log10 requires x > 0")
     p, q = x.numerator, x.denominator
-    # 10**e <= p/q  <=>  q*10**e <= p  (e may be negative: p*10**-e >= q)
-    e = (p.bit_length() - q.bit_length()) * 30103 // 100000 - 1
-    while _le_pow10(e + 1, p, q):
+    # With D = bits(p) - bits(q), 2**(D-1) < x < 2**(D+1).  Scaling D-1 and
+    # D+1 by the outer one of _LOG10_2 = (lo, hi), over _LOG10_2_DEN, puts
+    # floor(log10 x) in [e, top]: at most two candidates while |D| < 10**10,
+    # so at most one exact comparison.
+    d = p.bit_length() - q.bit_length()
+    lo, hi = _LOG10_2
+    e = (d - 1) * (lo if d >= 1 else hi) // _LOG10_2_DEN
+    top = -(-(d + 1) * (hi if d >= -1 else lo) // _LOG10_2_DEN) - 1
+    while e < top and _le_pow10(e + 1, p, q):
         e += 1
-    while not _le_pow10(e, p, q):
-        e -= 1
     return e
 
 

@@ -64,6 +64,7 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
+        self._partial: dict[int, Convergent] = {}
         self._dyadic: dict[int, tuple] = {}
 
     def __repr__(self) -> str:
@@ -74,18 +75,31 @@ class LacunarySeries:
         check_power(self.base, e, self.base.bit_length())
         return self.base ** e
 
-    def partial_sum(self, n: int) -> Convergent:
-        """First n terms as a reduced fraction; denominator is base**a_n."""
+    def checked_exponent(self, n: int) -> int:
+        """a_n, once the schedule has it and base**a_n passes the size gate:
+        the one check that decides whether `partial_sum(n)` is refused, and
+        with which error, before anything is built."""
         if not isinstance(n, int) or n < 1:
             raise InvalidConfigError("n", f"index must be a positive integer, got {n!r}")
         a_n = self.schedule.exponent(n)
-        q = self._power(a_n)
-        p = sum(self._power(a_n - self.schedule.exponent(k)) for k in range(1, n + 1))
+        check_power(self.base, a_n, self.base.bit_length())
+        return a_n
+
+    def partial_sum(self, n: int) -> Convergent:
+        """First n terms as a reduced fraction; denominator is base**a_n.
+        Built once per index."""
+        a_n = self.checked_exponent(n)
+        got = self._partial.get(n)
+        if got is not None:
+            return got
+        q = self.base ** a_n
+        p = sum(self.base ** (a_n - self.schedule.exponent(k)) for k in range(1, n + 1))
         if p % self.base != 1:
             raise InternalError(f"numerator {p} is not 1 mod {self.base}; reduction law broken")
         if not 0 < p < q:
             raise InternalError(f"partial sum {p}/{q} escaped (0, 1)")
-        return Convergent(n, p, q)
+        got = self._partial[n] = Convergent(n, p, q)
+        return got
 
     def tail_sandwich(self, n: int) -> tuple[Fraction, Fraction]:
         """The citable two-sided tail bracket (1/g**a_{n+1}, 2/g**a_{n+1})."""

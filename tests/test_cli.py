@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -344,3 +345,94 @@ def test_text_output_does_not_depend_on_the_conversion(monkeypatch, capsys, argv
     code, slow, _ = run_cli(capsys, *argv)
     same = code == 0 and slow == fast
     assert same
+
+
+def run_main(capsys, argv):
+    """`main(argv)` with an argparse rejection read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_calls_in_one_process_match_each_call_alone(capsys):
+    argvs = [["digits", "--digits", "5"], ["convergents"], ["measure", "--height", "3"],
+             ["digits", "--no-such-flag"], ["digits", "--digits", "5"]]
+    together = [run_main(capsys, argv) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(run_main(capsys, argv))
+    assert together == alone
+    assert [r[0] for r in together] == [0, 0, 0, 2, 0]
+    assert together[3][2].endswith("error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    assert run_cli(capsys, "convergents")[0] == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    assert run_cli(capsys, "validate", "--n-to", "2")[0] == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # a_6 = 2**32 is over the budget: the 2**65536-sized n = 5 row is not built
+    (["--n-from", "5", "--n-to", "6"], 3,
+     "budget error: a_6 = 65536**(2) exceeds the 2**20 exponent budget\n"),
+    # the size gate at n = 6 refuses before the schedule would at a_7
+    (["--budget-bits", "33", "--n-to", "7"], 3,
+     "budget error: 3**4294967296 would need about 8589934592 bits, over the "
+     "33554432-bit materialization cap\n"),
+    (["--beta", "1/2", "--a1", "16", "--n-to", "4"], 2,
+     "config error: a_4 = a_3**(3/2) is not an integer: a_3 = 512 is not a perfect "
+     "2-th power\n"),
+])
+def test_convergents_refuses_before_building_any_row(monkeypatch, capsys, argv, code, err):
+    built = []
+    partial_sum = series.LacunarySeries.partial_sum
+    monkeypatch.setattr(series.LacunarySeries, "partial_sum",
+                        lambda self, n: built.append(n) or partial_sum(self, n))
+    assert run_cli(capsys, "convergents", *argv) == (code, "", err)
+    assert built == []
+
+
+# One case of each small-queries kind of perfbench/workloads.py, the seven
+# refusals included.
+_SMALL_QUERIES = [
+    (0, ["convergents", "--g1", "5", "--g2", "3", "--op", "product", "--a1", "16",
+         "--beta", "1/2", "--n-from", "1", "--n-to", "3"]),
+    (0, ["measure", "--g1", "4", "--g2", "2", "--op", "quotient", "--a1", "3", "--beta", "1",
+         "--d", "7", "--height", "23", "--n-to", "3"]),
+    (0, ["validate", "--g1", "6", "--g2", "5", "--op", "difference", "--a1", "2", "--beta", "2",
+         "--alpha", "5/2", "--k", "3/2", "--budget-bits", "64", "--n-to", "2"]),
+    (0, ["digits", "--g1", "7", "--g2", "2", "--op", "sum", "--a1", "5", "--beta", "1",
+         "--digits", "73"]),
+    (2, ["convergents", "--g1", "2", "--g2", "5", "--op", "sum"]),
+    (2, ["measure", "--g1", "5", "--g2", "2", "--op", "product", "--d", "7/3"]),
+    (2, ["convergents", "--g1", "4", "--g2", "3", "--op", "quotient", "--a1", "6",
+         "--beta", "1/2", "--n-to", "2"]),
+    (3, ["convergents", "--g1", "6", "--g2", "4", "--op", "difference", "--budget-bits", "3",
+         "--n-to", "3"]),
+    (3, ["convergents", "--g1", "3", "--g2", "2", "--op", "sum", "--n-from", "5",
+         "--n-to", "6"]),
+    (3, ["digits", "--g1", "7", "--g2", "3", "--op", "product", "--budget-bits", "4",
+         "--digits", "64"]),
+    (3, ["validate", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "2", "--beta", "2",
+         "--budget-bits", "64", "--n-to", "4"]),
+]
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # the benchmark calls main in one process: nothing may leak between calls
+    in_process = [run_main(capsys, argv) for _, argv in _SMALL_QUERIES]
+    fresh = []
+    for _, argv in _SMALL_QUERIES:
+        proc = run_module(*argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [r[0] for r in fresh] == [code for code, _ in _SMALL_QUERIES]

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacunary import intmath
 from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
     _LEAF_BITS,
@@ -111,15 +113,32 @@ def test_primitive_power_known_values():
     assert primitive_power(10**6) == (10, 6)
 
 
-@given(
+def _wide_fraction(b1: int, b2: int, seed: int) -> Fraction:
+    rnd = random.Random(seed)
+    return Fraction(rnd.getrandbits(b1) | 1 << (b1 - 1), rnd.getrandbits(b2) | 1 << (b2 - 1))
+
+
+_WIDE_BITS = st.integers(min_value=1, max_value=110_000)
+
+
+@settings(deadline=None)
+@given(st.one_of(
     st.fractions(
         min_value=Fraction(1, 10**30),
         max_value=Fraction(10**30),
         max_denominator=10**30,
-    )
-)
+    ),
+    # numerator and denominator of up to 110,000 bits each
+    st.builds(_wide_fraction, _WIDE_BITS, _WIDE_BITS, st.integers(min_value=0, max_value=2**32)),
+    # 10**e and 10**e +- 1/q with 0 < 1/q < 10**e, up to 116,000 bits
+    st.builds(lambda e, m, s: Fraction(10) ** e + s * Fraction(1, m * 10 ** max(0, -e) + 1),
+              st.integers(min_value=-35_000, max_value=35_000),
+              st.integers(min_value=1, max_value=10**40), st.sampled_from((-1, 0, 1))),
+))
 def test_floor_log10_brackets(x):
-    e = floor_log10(x)
+    with mock.patch.object(intmath, "_le_pow10", wraps=intmath._le_pow10) as compared:
+        e = floor_log10(x)
+    assert compared.call_count <= 1
     assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
 
 

@@ -217,6 +217,14 @@ def test_enclosures_are_built_once_per_depth():
     assert list(s._dyadic) == [253] and s.dyadic(253) is s.dyadic(253)
 
 
+def test_partial_sums_are_built_once_per_index():
+    s = make_series(3)
+    assert s.partial_sum(3) is s.partial_sum(3)
+    assert list(s._partial) == [3]
+    with pytest.raises(InvalidConfigError):
+        s.partial_sum(0)
+
+
 # Schedules for the dyadic property tests: a1 in {2, 3} with beta 1 and 2,
 # and beta = 1/2 from square a1 (a_3 is not an integer after a1 = 4, a_4
 # not after a1 = 16), so enclosures end at the schedule as well.
