@@ -8,7 +8,6 @@ arithmetic; no float enters this module at all.
 from __future__ import annotations
 
 import decimal
-import math
 import sys
 from fractions import Fraction
 
@@ -109,6 +108,8 @@ def introot(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("introot requires n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n, True
+    if k >= n.bit_length():  # 2**k > n: the root is 1, and 1**k != n
+        return 1, False
     # Newton iteration on integers, seeded one bit high so it descends.
     x = 1 << -(-n.bit_length() // k)
     while True:
@@ -123,36 +124,20 @@ def introot(n: int, k: int) -> tuple[int, bool]:
     return x, x ** k == n
 
 
-def _small_primes(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i in range(2, limit + 1) if sieve[i]]
-
-
 def primitive_power(b: int) -> tuple[int, int]:
     """Unique decomposition b = m**t with m not itself a perfect power.
 
-    Two pure powers b1**e1 and b2**e2 are equal iff their primitive bases
-    coincide and t1*e1 == t2*e2, which is what makes this the exact
-    equality test for power comparisons.
+    b is a perfect k-th power iff k divides t, so the largest k < bits(b)
+    with an exact k-th root is t itself.  The reference decomposition for
+    tests of power comparisons; nothing on a decision path calls it.
     """
     if b < 2:
         raise ValueError("primitive_power requires b >= 2")
-    t = 1
-    for p in _small_primes(max(2, b.bit_length())):
-        while True:
-            r, exact = introot(b, p)
-            if exact and r >= 2:
-                b = r
-                t *= p
-            else:
-                break
-        if b.bit_length() <= p:  # no further prime exponent can apply
-            break
-    return b, t
+    for t in range(b.bit_length() - 1, 1, -1):
+        m, exact = introot(b, t)
+        if exact:
+            return m, t
+    return b, 1
 
 
 # 30102999566/10**11 < log10(2) < 30102999567/10**11

@@ -2,11 +2,11 @@
 
 Two pure powers (`compare`), in order:
   1. zero exponents are handled directly (b**0 = 1);
-  2. both bases are rewritten over their primitive base (b = m**t with m
-     not itself a perfect power); a shared primitive base reduces the
-     question to an exact integer comparison of rewritten exponents, and
-     distinct primitive bases prove the values unequal;
-  3. for provably unequal values, e1*ln(b1) vs e2*ln(b2) is decided with
+  2. exact equality by one root: with g = gcd(e1, e2) and s_i = e_i/g,
+     b1**e1 == b2**e2 iff b1 = c**s2 and b2 = c**s1 for an integer c
+     (s1 and s2 are coprime), so one `introot(b1, s2)` and one exact
+     comparison of c**s1 with b2 settle it;
+  3. for unequal values, e1*ln(b1) vs e2*ln(b2) is decided with
      directed-rounding log enclosures, doubling the precision until the
      intervals separate (termination is guaranteed by step 2).
 
@@ -20,12 +20,13 @@ No floating point touches any decision.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidConfigError
-from .intmath import primitive_power
+from .intmath import introot
 from .logenc import ln_int_interval
 
 _START_PREC = 64
@@ -82,19 +83,13 @@ def compare_trace(x: PurePower, y: PurePower) -> CompareDiagnostics:
         else:
             order = Ordering.GREATER
         return CompareDiagnostics(order, "exponent-zero")
-    m1, t1 = primitive_power(x.base)
-    m2, t2 = primitive_power(y.base)
-    if m1 == m2:
-        e1, e2 = t1 * x.exp, t2 * y.exp
-        if e1 < e2:
-            order = Ordering.LESS
-        elif e1 > e2:
-            order = Ordering.GREATER
-        else:
-            order = Ordering.EQUAL
-        return CompareDiagnostics(order, "common-base")
-    # distinct primitive bases, positive exponents: values are distinct,
-    # so the log refinement below terminates
+    g = math.gcd(x.exp, y.exp)
+    s1, s2 = x.exp // g, y.exp // g
+    c, exact = introot(x.base, s2)
+    if exact and power_vs_threshold(PurePower(c, s1), y.base) is Ordering.EQUAL:
+        return CompareDiagnostics(Ordering.EQUAL, "common-base")
+    # positive exponents and unequal values, so the log refinement below
+    # terminates
     prec = _START_PREC
     tried = []
     while True:

@@ -5,12 +5,14 @@ bit-size budget on the exponent values themselves (default 2**20, at
 most 2**MATERIALIZE_BITS), checked before a new exponent is built, and
 eager detection of the first step where the recurrence leaves the
 integers.  With beta = u/v in lowest terms, a**(1+u/v) is an integer
-exactly when a is a perfect v-th power; that test is done by exact
-integer root extraction, never by floating point.
+exactly when a is a perfect v-th power.  Every a_m is a power r**e of a
+base r no wider than a_1, so that test is one exact integer root of r,
+never of a_m and never by floating point.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,7 @@ from typing import List
 
 from .errors import ExponentBudgetExceeded, InvalidConfigError, NonIntegralExponent
 from .intmath import MATERIALIZE_BITS, int_label, introot
-from .powercmp import Ordering, PurePower, compare, power_vs_threshold
+from .powercmp import Ordering, PurePower, power_vs_threshold
 
 DEFAULT_BUDGET_BITS = 20
 
@@ -52,6 +54,7 @@ class PowerSchedule:
             raise ExponentBudgetExceeded(
                 f"a_1 = {int_label(a1)} already exceeds the 2**{budget_bits} exponent budget")
         self._cache: List[int] = [a1]
+        self._base_power = (a1, 1)  # (r, e) with r**e = the last cached a_m
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -71,17 +74,25 @@ class PowerSchedule:
             while len(self._cache) < n:
                 m = len(self._cache)
                 last = self._cache[-1]
-                root, exact = introot(last, v)
+                r, e = self._base_power
+                # r = m0**t: r**e is a perfect v-th power iff v | t*e iff
+                # v/gcd(e, v) divides t, iff r is a perfect (v/gcd)-th power
+                g = math.gcd(e, v)
+                root, exact = introot(r, v // g)
                 power = 1 + self.beta
                 if not exact:
                     raise NonIntegralExponent(
                         f"a_{m + 1} = a_{m}**({power}) is not an integer: "
                         f"a_{m} = {int_label(last)} is not a perfect {v}-th power")
-                if power_vs_threshold(PurePower(root, u + v), self._limit) is Ordering.GREATER:
+                # c = a_m**(1/v) = root**(e/g) and a_{m+1} = c**(u+v); with
+                # v = 1, c is a_m itself and is not built again
+                c = last if v == 1 else root ** (e // g)
+                if power_vs_threshold(PurePower(c, u + v), self._limit) is Ordering.GREATER:
                     raise ExponentBudgetExceeded(
                         f"a_{m + 1} = {int_label(last)}**({power}) exceeds the "
                         f"2**{self.budget_bits} exponent budget")
-                self._cache.append(root ** (u + v))
+                self._cache.append(c ** (u + v))
+                self._base_power = (root, e // g * (u + v))
         return self._cache[n - 1]
 
     def known(self) -> tuple:
@@ -116,34 +127,21 @@ class GrowthCheck:
         return self.lower_ok and self.upper_ok
 
 
-def _pow_le(base: int, exp: Fraction, bound: int) -> bool:
-    # base**(p/q) <= bound  <=>  base**p <= bound**q   (all quantities > 1)
-    p, q = exp.numerator, exp.denominator
-    return compare(PurePower(base, p), PurePower(bound, q)) is not Ordering.GREATER
-
-
-def _lt_pow(value: int, base: int, exp: Fraction) -> bool:
-    # value < base**(p/q)  <=>  value**q < base**p
-    p, q = exp.numerator, exp.denominator
-    return compare(PurePower(value, q), PurePower(base, p)) is Ordering.LESS
-
-
 def validate_growth(s: PowerSchedule, w: GrowthWindow, n_max: int) -> List[GrowthCheck]:
     """Exact per-index check of the growth window for n = 1..n_max.
 
-    Rational exponents are cleared to integer powers (a**(p/q) <= b iff
-    a**p <= b**q) and decided by powercmp without materializing either
-    side.  n_max = 0 returns an empty report (vacuous pass).
+    a_{n+1} = a_n**(1+beta) exactly and a_n >= 2, so a_n**alpha <= a_{n+1}
+    iff alpha <= 1+beta, and a_{n+1} < a_n**(k*alpha) iff 1+beta < k*alpha.
+    a_{n+1} is still built for each n, so an index the schedule cannot
+    reach is refused as it is everywhere else.  n_max = 0 returns an empty
+    report (vacuous pass).
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidConfigError("n_max", f"must be a nonnegative integer, got {n_max!r}")
+    step = 1 + s.beta
+    lower_ok, upper_ok = w.alpha <= step, step < w.k * w.alpha
     report = []
     for n in range(1, n_max + 1):
-        a_n = s.exponent(n)
-        a_next = s.exponent(n + 1)
-        report.append(GrowthCheck(
-            n=n,
-            lower_ok=_pow_le(a_n, w.alpha, a_next),
-            upper_ok=_lt_pow(a_next, a_n, w.k * w.alpha),
-        ))
+        s.exponent(n + 1)
+        report.append(GrowthCheck(n, lower_ok, upper_ok))
     return report

@@ -141,7 +141,9 @@ class LacunarySeries:
             except NonIntegralExponent as exc:
                 if len(exps) == 1:
                     raise
-                e, end = exps.pop(), exc  # no a_{M+1}: the tail starts at a_M
+                # no a_{M+1}: the tail starts at a_M (kept, as in exponent_after,
+                # without a traceback)
+                e, end = exps.pop(), exc.with_traceback(None)
             if end is not None or e * b > k + 2:
                 break
             exps.append(e)
@@ -165,11 +167,14 @@ class LacunarySeries:
 
 def exponent_after(schedule: PowerSchedule, m: int) -> tuple:
     """(a_{m+1}, None), or (2*a_m, the refusal) once a_{m+1} is over the
-    exponent budget: a_{m+1} = a_m * r**u >= 2*a_m for a_m = r**v."""
+    exponent budget: a_{m+1} = a_m * r**u >= 2*a_m for a_m = r**v.
+
+    The refusal is returned without its traceback, whose frames would
+    otherwise tie the caller's series to the enclosure that keeps it."""
     try:
         return schedule.exponent(m + 1), None
     except ExponentBudgetExceeded as exc:
-        return 2 * schedule.exponent(m), exc
+        return 2 * schedule.exponent(m), exc.with_traceback(None)
 
 
 def certified_digits(enclose, digits: int) -> str:
@@ -196,9 +201,11 @@ def certified_digits(enclose, digits: int) -> str:
                 raise end
             k *= 2
     except ExponentBudgetExceeded as exc:
+        # exc may be an enclosure's cached refusal: keep no traceback that
+        # ties it to this frame and so to the series behind `enclose`
         raise PrecisionUnattainable(
             f"no enclosure tight enough for {digits} decimal places "
-            f"within the configured budgets") from exc
+            f"within the configured budgets") from exc.with_traceback(None)
 
 
 def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -436,3 +438,29 @@ def test_in_process_calls_match_fresh_processes(capsys):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
     assert [r[0] for r in fresh] == [code for code, _ in _SMALL_QUERIES]
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["digits", "--digits", "27500"]),
+    (0, ["witness"]),
+    (0, ["witness", "--beta", "1/2", "--a1", "16"]),
+    (3, ["digits", "--budget-bits", "9", "--digits", "400"]),
+])
+def test_series_are_freed_when_main_returns(monkeypatch, capsys, code, argv):
+    # a cached refusal that kept its traceback held the series in a
+    # reference cycle, alive until the cyclic collector ran
+    made = []
+    init = series.LacunarySeries.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(series.LacunarySeries, "__init__", tracked)
+    gc.disable()
+    try:
+        assert run_cli(capsys, *argv)[0] == code
+        assert len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+    finally:
+        gc.enable()

@@ -87,6 +87,10 @@ def test_introot_edge_cases():
     assert introot(8, 3) == (2, True)
     assert introot(9, 3) == (2, False)
     assert introot(2**64, 2) == (2**32, True)
+    # k >= bits(n): the root is 1, found without building 2**(k-1)
+    assert introot(2, 10**12) == (1, False)
+    assert introot(2**64 - 1, 64) == (1, False)
+    assert introot(2**64, 64) == (2, True)
     with pytest.raises(ValueError):
         introot(-1, 2)
     with pytest.raises(ValueError):

@@ -1,0 +1,57 @@
+"""CLI inputs that once hung or ran out of memory must finish quickly.
+
+Each case runs `python -m lacunary` in a child process whose address
+space is capped (RLIMIT_AS, set in the child only) under a wall-clock
+timeout, and must exit with its stated code inside that bound.
+"""
+
+import random
+import resource
+import subprocess
+import sys
+
+import pytest
+
+from conftest import CLI_ENV
+
+TIMEOUT_S = 10
+ADDRESS_SPACE_BYTES = 2 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+
+
+def run_capped(argv):
+    return subprocess.run([sys.executable, "-m", "lacunary", *argv],
+                          capture_output=True, text=True, env=CLI_ENV,
+                          timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
+
+
+def _random_odd(bits, seed):
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1) | 1
+
+
+CASES = [
+    # a random a_1 is a perfect power of no degree: one root per step, on a_1
+    pytest.param(["validate", "--a1", str(_random_odd(16384, 1)),
+                  "--budget-bits", "1000000", "--n-to", "1"], 0, id="validate-random-a1"),
+    # beta = 1/2 from a_1 = 2**32768: square roots of a_1-sized bases only,
+    # until a_17 leaves the integers
+    pytest.param(["validate", "--beta", "1/2", "--a1", str(2**32768),
+                  "--budget-bits", "33554432", "--n-to", "20"], 2, id="validate-half-step"),
+    # a 10**12-th root of a_1 = 2 is decided without building 2**(10**12)
+    pytest.param(["convergents", "--beta", "1/1000000000000", "--n-to", "2"], 2,
+                 id="convergents-tiny-beta"),
+    # the threshold scan compares powers of g2 and g1*g2: equality is one
+    # root of g2, never a perfect-power search on a 32768-bit g1*g2
+    pytest.param(["witness", "--g1", str(_random_odd(32768, 2)), "--n-to", "1"], 0,
+                 id="witness-random-g1"),
+]
+
+
+@pytest.mark.parametrize("argv, code", CASES)
+def test_finishes_within_bound(argv, code):
+    proc = run_capped(argv)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from lacunary.errors import InvalidConfigError
+from lacunary.intmath import primitive_power
 from lacunary.powercmp import (
     Ordering,
     PurePower,
@@ -182,3 +183,43 @@ def test_threshold_far_from_power_builds_nothing(monkeypatch):
     assert power_vs_threshold(PurePower(3, 2**24), 7) is Ordering.GREATER
     assert power_vs_threshold(PurePower(3, 2**24), Fraction(1, 7)) is Ordering.GREATER
     assert power_vs_threshold(PurePower(3, 5), 10**100) is Ordering.LESS
+
+
+def _reference_order(x, y):
+    """Materialized ordering, with equality cross-checked through the
+    primitive-power decomposition b = m**t."""
+    v1, v2 = x.materialize(), y.materialize()
+    want = Ordering.LESS if v1 < v2 else Ordering.GREATER if v1 > v2 else Ordering.EQUAL
+    (m1, t1), (m2, t2) = primitive_power(x.base), primitive_power(y.base)
+    assert (want is Ordering.EQUAL) == (m1 == m2 and t1 * x.exp == t2 * y.exp)
+    return want
+
+
+def test_compare_against_primitive_power_reference(seed=20261018):
+    rng = random.Random(seed)
+    pairs = [(PurePower(8, 2), PurePower(4, 3)), (PurePower(4, 3), PurePower(8, 2))]
+    # (m**s)**(k*t) vs (m**t)**(k*s): equal, whatever the gcd of the exponents
+    for m in range(2, 15):
+        for s, t in [(1, 2), (2, 3), (3, 2), (1, 7), (3, 4)]:
+            if m ** max(s, t) <= 200:
+                k = rng.randrange(1, 30)
+                pairs.append((PurePower(m**s, k * t), PurePower(m**t, k * s)))
+    # s2 = e2/gcd(e1, e2) >= bits(b1): b1 cannot be a perfect s2-th power
+    for _ in range(100):
+        b1 = rng.randrange(2, 201)
+        e2 = rng.randrange(b1.bit_length(), 200) | 1
+        pairs.append((PurePower(b1, 2 * e2), PurePower(rng.randrange(2, 201), e2)))
+    # shared primitive bases with unequal exponents, and random pairs
+    for _ in range(300):
+        m = rng.randrange(2, 15)
+        pairs.append((PurePower(m ** rng.randrange(1, 3), rng.randrange(1, 120)),
+                      PurePower(m ** rng.randrange(1, 3), rng.randrange(1, 120))))
+        pairs.append((PurePower(rng.randrange(2, 201), rng.randrange(1, 300)),
+                      PurePower(rng.randrange(2, 201), rng.randrange(1, 300))))
+    equal = 0
+    for x, y in pairs:
+        d = compare_trace(x, y)
+        assert d.ordering is _reference_order(x, y), (x, y)
+        assert d.method == ("common-base" if d.ordering is Ordering.EQUAL else "log-enclosure")
+        equal += d.ordering is Ordering.EQUAL
+    assert equal >= 20

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -183,3 +184,60 @@ def test_validate_growth_matches_materialized_comparison():
         ka = w.k * w.alpha
         p2, q2 = ka.numerator, ka.denominator
         assert c.upper_ok == (b**q2 < a**p2)
+
+
+def _materialized_check(s, w, n):
+    a, b = s.exponent(n), s.exponent(n + 1)
+    p, q = w.alpha.numerator, w.alpha.denominator
+    ka = w.k * w.alpha
+    return GrowthCheck(n, a**p <= b**q, b**ka.denominator < a**ka.numerator)
+
+
+def test_validate_growth_property_against_materialized(seed=20261018):
+    rng = random.Random(seed)
+    checked = steps = 0
+    for _ in range(150):
+        beta = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
+        v = beta.denominator
+        a1 = rng.randrange(2, 40) ** rng.choice((1, v, v * v))
+        if a1 > 2**64:
+            continue
+        s = PowerSchedule(a1, beta, budget_bits=64)
+        reach = 0  # largest n with a_{n+1} in the schedule
+        while True:
+            try:
+                s.exponent(reach + 2)
+            except (NonIntegralExponent, ExponentBudgetExceeded) as exc:
+                refusal = type(exc)
+                break
+            reach += 1
+        step = 1 + beta
+        alpha = Fraction(rng.randrange(11, 40), 10)
+        windows = [GrowthWindow(alpha, Fraction(rng.randrange(11, 30), 10)),
+                   # lower edge: a_n**alpha == a_{n+1}
+                   GrowthWindow(step, Fraction(rng.randrange(11, 30), 10)),
+                   # upper edge: a_{n+1} == a_n**(k*alpha)
+                   GrowthWindow(1 + beta / 2, step / (1 + beta / 2))]
+        for w in windows:
+            report = validate_growth(s, w, reach)
+            assert report == [_materialized_check(s, w, n) for n in range(1, reach + 1)]
+            checked += len(report)
+            # one index further the schedule's own refusal comes out
+            with pytest.raises(refusal):
+                validate_growth(s, w, reach + 1)
+        steps += reach
+    assert checked >= 150 and steps >= 30
+
+
+def test_half_step_from_a_wide_power_of_two_roots_only_the_small_base():
+    # a_n = 2**(32768 * (3/2)**(n-1)) = 2**(2**(16-n) * 3**(n-1)) for n <= 16;
+    # a_16 = 2**(3**15) is odd-exponent, so a_17 leaves the integers
+    s = PowerSchedule(2**32768, Fraction(1, 2), 2**25)
+    start = time.perf_counter()
+    for n in range(1, 17):
+        assert s.exponent(n) == 1 << (2 ** (16 - n) * 3 ** (n - 1))
+    with pytest.raises(NonIntegralExponent) as info:
+        s.exponent(17)
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == ("a_17 = a_16**(3/2) is not an integer: "
+                               "a_16 = <14348908-bit integer> is not a perfect 2-th power")
