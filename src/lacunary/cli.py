@@ -33,7 +33,7 @@ from .errors import (
     PrecisionUnattainable,
     TieEncountered,
 )
-from .intmath import decimal_str
+from .intmath import decimal_str, int_label, value_label
 from .measure import AlgebraicTarget, approximation_measure, find_n1
 from .schedule import GrowthWindow, PowerSchedule, validate_growth
 from .series import LacunarySeries
@@ -58,22 +58,38 @@ class RunConfig:
     out: Optional[str] = None
 
 
+# Longest integer or rational text converted: int() and Fraction() take
+# time quadratic in its length (CPython before 3.12).
+MAX_NUMBER_CHARS = 100_000
+
+
+def _number_text(field: str, value) -> str:
+    """str(value), refused before any conversion if it is too long."""
+    text = str(value)
+    if len(text) > MAX_NUMBER_CHARS:
+        raise InvalidConfigError(field, f"number text longer than {MAX_NUMBER_CHARS} characters")
+    return text
+
+
 def _parse_int(field: str, value) -> int:
     if isinstance(value, bool):
-        raise InvalidConfigError(field, f"expected an integer, got {value!r}")
+        raise InvalidConfigError(field, f"expected an integer, got {value_label(value)}")
+    if isinstance(value, int):  # a JSON integer, converted once by the JSON reader
+        return value
     try:
-        return int(str(value), 10)
+        return int(_number_text(field, value), 10)
     except ValueError as exc:
-        raise InvalidConfigError(field, f"expected an integer, got {value!r}") from exc
+        raise InvalidConfigError(field, f"expected an integer, got {value_label(value)}") from exc
 
 
 def _parse_rational(field: str, value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        raise InvalidConfigError(field, f"expected an exact rational like \"5/2\", got {value!r}")
+        raise InvalidConfigError(
+            field, f"expected an exact rational like \"5/2\", got {value_label(value)}")
     try:
-        return Fraction(str(value))
+        return Fraction(value if isinstance(value, int) else _number_text(field, value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidConfigError(field, f"not a rational: {value!r}") from exc
+        raise InvalidConfigError(field, f"not a rational: {value_label(value)}") from exc
 
 
 def _parse_op(field: str, value) -> Op:
@@ -81,12 +97,13 @@ def _parse_op(field: str, value) -> Op:
         return Op(str(value))
     except ValueError as exc:
         names = ", ".join(o.value for o in Op)
-        raise InvalidConfigError(field, f"must be one of {names}, got {value!r}") from exc
+        raise InvalidConfigError(
+            field, f"must be one of {names}, got {value_label(value)}") from exc
 
 
 def _parse_str(field: str, value) -> str:
     if not isinstance(value, str):
-        raise InvalidConfigError(field, f"expected a string, got {value!r}")
+        raise InvalidConfigError(field, f"expected a string, got {value_label(value)}")
     return value
 
 
@@ -116,17 +133,18 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
 
 def _validate(cfg: RunConfig) -> None:
     if cfg.g2 < 2:
-        raise InvalidConfigError("g2", f"must be an integer >= 2, got {cfg.g2}")
+        raise InvalidConfigError("g2", f"must be an integer >= 2, got {int_label(cfg.g2)}")
     if cfg.g1 <= cfg.g2:
-        raise InvalidConfigError("g1", f"must exceed g2, got g1={cfg.g1} g2={cfg.g2}")
+        raise InvalidConfigError(
+            "g1", f"must exceed g2, got g1={int_label(cfg.g1)} g2={int_label(cfg.g2)}")
     if cfg.n_from < 1:
-        raise InvalidConfigError("n_from", f"must be >= 1, got {cfg.n_from}")
+        raise InvalidConfigError("n_from", f"must be >= 1, got {int_label(cfg.n_from)}")
     if cfg.n_to < 0:
-        raise InvalidConfigError("n_to", f"must be >= 0, got {cfg.n_to}")
+        raise InvalidConfigError("n_to", f"must be >= 0, got {int_label(cfg.n_to)}")
     if cfg.digits < 1:
-        raise InvalidConfigError("digits", f"must be >= 1, got {cfg.digits}")
+        raise InvalidConfigError("digits", f"must be >= 1, got {int_label(cfg.digits)}")
     if cfg.height < 1:
-        raise InvalidConfigError("height", f"must be >= 1, got {cfg.height}")
+        raise InvalidConfigError("height", f"must be >= 1, got {int_label(cfg.height)}")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -134,7 +152,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_int=lambda text: int(_number_text("config", text)))
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfigError("config", f"cannot read {path}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -192,7 +211,8 @@ def cmd_witness(cfg: RunConfig) -> str:
 
 def cmd_measure(cfg: RunConfig) -> str:
     if cfg.d.denominator != 1 or cfg.d < 2:
-        raise InvalidConfigError("d", f"degree must be an integer >= 2 here, got {cfg.d}")
+        raise InvalidConfigError(
+            "d", f"degree must be an integer >= 2 here, got {value_label(cfg.d)}")
     comp = _build_composite(cfg)
     target = AlgebraicTarget(int(cfg.d), cfg.height)
     lines = list(approximation_measure(target).derivation)

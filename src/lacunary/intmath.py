@@ -17,7 +17,9 @@ __all__ = [
     "MATERIALIZE_BITS",
     "check_power",
     "decimal_str",
+    "gated_pow",
     "int_label",
+    "value_label",
     "introot",
     "primitive_power",
     "floor_log10",
@@ -37,6 +39,9 @@ MATERIALIZE_BITS = 1 << 25
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
+# Longest repr that value_label quotes in full.
+LABEL_CHARS = 64
+
 # Up to this many bits plain str(n) is faster than decimal_str's divide
 # and conquer (the crossover measured on CPython 3.11.7).
 STR_CUTOVER_BITS = 1 << 15
@@ -55,10 +60,30 @@ def check_power(base, e: int, base_bits: int) -> None:
             f"over the {MATERIALIZE_BITS}-bit materialization cap")
 
 
+def gated_pow(x: int, e: int, label=None) -> int:
+    """x**e, refused by check_power before it is built; `label` names x in
+    the refusal (x itself by default)."""
+    check_power(x if label is None else label, e, x.bit_length())
+    return x ** e
+
+
 def int_label(x: int) -> str:
     """x in decimal up to 64 bits, else named by its bit length, so that a
     refusal about a huge number stays cheap to format and to read."""
     return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
+
+
+def value_label(value) -> str:
+    """An input as a refusal quotes it: an integer by int_label, a Fraction
+    as its str with int_label parts, anything else by its repr cut to
+    LABEL_CHARS characters."""
+    if isinstance(value, Fraction):
+        num, den = value.numerator, value.denominator
+        return int_label(num) if den == 1 else f"{int_label(num)}/{int_label(den)}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int_label(value)
+    text = repr(value)
+    return text if len(text) <= LABEL_CHARS else f"{text[:LABEL_CHARS]}... ({len(text)} characters)"
 
 
 def decimal_str(n: int) -> str:

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidConfigError, NoSignChange, NotFound, TieEncountered
 from .interval import RationalInterval
-from .intmath import check_power, decimal_str
+from .intmath import decimal_str, gated_pow
 from .powercmp import Ordering, PurePower, power_vs_threshold
 from .witness import CompositeNumber, value_enclosure
 
@@ -66,8 +66,7 @@ def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
     d, h = t.degree, t.height
     base = 2 * h * d * d
     expo = 1 + 4 * d
-    check_power(base, expo, base.bit_length())
-    bound = Fraction(1, base ** expo)
+    bound = Fraction(1, gated_pow(base, expo))
     derivation = (
         f"target: degree d = {d}, height H = {h}",
         f"base: 2*H*d^2 = {base}",

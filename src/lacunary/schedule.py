@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List
 
 from .errors import ExponentBudgetExceeded, InvalidConfigError, NonIntegralExponent
-from .intmath import MATERIALIZE_BITS, int_label, introot
+from .intmath import MATERIALIZE_BITS, int_label, introot, value_label
 from .powercmp import Ordering, PurePower, power_vs_threshold
 
 DEFAULT_BUDGET_BITS = 20
@@ -34,18 +34,22 @@ class PowerSchedule:
 
     def __init__(self, a1: int, beta, budget_bits: int = DEFAULT_BUDGET_BITS):
         if not isinstance(a1, int) or isinstance(a1, bool) or a1 < 2:
-            raise InvalidConfigError("a1", f"first exponent must be an integer >= 2, got {a1!r}")
+            raise InvalidConfigError(
+                "a1", f"first exponent must be an integer >= 2, got {value_label(a1)}")
         try:
             beta = Fraction(beta)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidConfigError("beta", f"not a rational: {beta!r}") from exc
         if beta <= 0:
-            raise InvalidConfigError("beta", f"growth exponent must be positive, got {beta}")
+            raise InvalidConfigError(
+                "beta", f"growth exponent must be positive, got {value_label(beta)}")
         if not isinstance(budget_bits, int) or budget_bits < 2:
-            raise InvalidConfigError("budget_bits", f"must be an integer >= 2, got {budget_bits!r}")
+            raise InvalidConfigError(
+                "budget_bits", f"must be an integer >= 2, got {value_label(budget_bits)}")
         if budget_bits > MATERIALIZE_BITS:
             raise InvalidConfigError(
-                "budget_bits", f"must be at most {MATERIALIZE_BITS}, got {budget_bits!r}")
+                "budget_bits",
+                f"must be at most {MATERIALIZE_BITS}, got {value_label(budget_bits)}")
         self.a1 = a1
         self.beta = beta
         self.budget_bits = budget_bits
@@ -96,7 +100,9 @@ class PowerSchedule:
         return self._cache[n - 1]
 
     def known(self) -> tuple:
-        """Snapshot of the exponents computed so far (diagnostics only)."""
+        """The exponents computed so far, a_1..a_m.  Once the schedule has
+        refused a_{m+1}, m never grows: `certify` and `LacunarySeries.dyadic`
+        read the refused index off its length."""
         return tuple(self._cache)
 
 
@@ -111,9 +117,9 @@ class GrowthWindow:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "k", Fraction(self.k))
         if self.alpha <= 1:
-            raise InvalidConfigError("alpha", f"must exceed 1, got {self.alpha}")
+            raise InvalidConfigError("alpha", f"must exceed 1, got {value_label(self.alpha)}")
         if self.k <= 1:
-            raise InvalidConfigError("k", f"must exceed 1, got {self.k}")
+            raise InvalidConfigError("k", f"must exceed 1, got {value_label(self.k)}")
 
 
 @dataclass(frozen=True)

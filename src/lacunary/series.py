@@ -15,6 +15,7 @@ is g/(g-1) * g**(-a_{n+1}).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .errors import (
     NonIntegralExponent,
     PrecisionUnattainable,
 )
-from .intmath import check_power, decimal_str
+from .intmath import MATERIALIZE_BITS, check_power, decimal_str, gated_pow
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -72,8 +73,7 @@ class LacunarySeries:
 
     def _power(self, e: int) -> int:
         """base**e, refused when the result would be absurdly wide."""
-        check_power(self.base, e, self.base.bit_length())
-        return self.base ** e
+        return gated_pow(self.base, e)
 
     def checked_exponent(self, n: int) -> int:
         """a_n, once the schedule has it and base**a_n passes the size gate:
@@ -116,7 +116,7 @@ class LacunarySeries:
     def depth_bits(self, m: int) -> int:
         """The precision at which `dyadic` sums exactly m terms, as fine as
         the tail of the exact m-term enclosure."""
-        return exponent_after(self.schedule, m)[0] * (self.base.bit_length() - 1) - 3
+        return exponent_after(self.schedule, m) * (self.base.bit_length() - 1) - 3
 
     def dyadic(self, k: int) -> tuple:
         """theta in [lo, hi] * 2**-j, as (lo, hi, j, terms, end).
@@ -127,7 +127,7 @@ class LacunarySeries:
         g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a quarter unit if
         e*b >= k+3, so hi = lo + M + 1, j = k and the width is (M + c) *
         2**-k with c = 1.  Otherwise the schedule ended first (`end` is
-        its refusal) and no k narrows the interval: j drops to
+        the index it refused) and no k narrows the interval: j drops to
         e*bits(g) + GUARD_BITS and the tail is rounded up.
         """
         got = self._dyadic.get(k)
@@ -136,14 +136,14 @@ class LacunarySeries:
         g, b = self.base, self.base.bit_length() - 1
         exps = [self.schedule.exponent(1)]
         while True:
+            m = len(exps)
             try:
-                e, end = exponent_after(self.schedule, len(exps))
-            except NonIntegralExponent as exc:
-                if len(exps) == 1:
+                e = exponent_after(self.schedule, m)
+            except NonIntegralExponent:
+                if m == 1:
                     raise
-                # no a_{M+1}: the tail starts at a_M (kept, as in exponent_after,
-                # without a traceback)
-                e, end = exps.pop(), exc.with_traceback(None)
+                e = exps.pop()  # no a_{m+1}: the tail starts at a_m
+            end = m + 1 if len(self.schedule.known()) == m else None
             if end is not None or e * b > k + 2:
                 break
             exps.append(e)
@@ -162,34 +162,46 @@ class LacunarySeries:
 
     def decimal_digits(self, digits: int) -> str:
         """Decimal expansion of theta truncated toward zero to `digits` places."""
-        return certified_digits(self.dyadic, digits)
+        return certified_digits(self.dyadic, digits, self.schedule)
 
 
-def exponent_after(schedule: PowerSchedule, m: int) -> tuple:
-    """(a_{m+1}, None), or (2*a_m, the refusal) once a_{m+1} is over the
-    exponent budget: a_{m+1} = a_m * r**u >= 2*a_m for a_m = r**v.
-
-    The refusal is returned without its traceback, whose frames would
-    otherwise tie the caller's series to the enclosure that keeps it."""
+def exponent_after(schedule: PowerSchedule, m: int) -> int:
+    """a_{m+1}, or 2*a_m once a_{m+1} is over the exponent budget:
+    a_{m+1} = a_m * r**u >= 2*a_m for a_m = r**v."""
     try:
-        return schedule.exponent(m + 1), None
-    except ExponentBudgetExceeded as exc:
-        return 2 * schedule.exponent(m), exc.with_traceback(None)
+        return schedule.exponent(m + 1)
+    except ExponentBudgetExceeded:
+        return 2 * schedule.exponent(m)
 
 
-def certified_digits(enclose, digits: int) -> str:
+def deepen(enclose, k: int, schedule: PowerSchedule):
+    """Yield `enclose(k)`, `enclose(2k)`, ... (dyadic enclosures as from
+    `LacunarySeries.dyadic`) until one stalls at the schedule's end or 2k
+    would pass MATERIALIZE_BITS.  A stall asks the schedule for the refused
+    index again, so a non-integral exponent is raised in its own words."""
+    while True:
+        got = enclose(k)
+        yield got
+        if got[4] is not None:
+            with contextlib.suppress(ExponentBudgetExceeded):
+                schedule.exponent(got[4])
+        if got[4] is not None or 2 * k > MATERIALIZE_BITS:
+            return
+        k *= 2
+
+
+def certified_digits(enclose, digits: int, schedule: PowerSchedule) -> str:
     """Toward-zero expansion to `digits` places of the value that every
     dyadic enclosure `enclose(k)` (as `LacunarySeries.dyadic`) contains.
 
-    k starts at ceil(digits*log2(10)) + GUARD_BITS and doubles until both
-    ends truncate alike; the schedule's end or the size gate stops it.
+    `deepen` runs k up from ceil(digits*log2(10)) + GUARD_BITS until both
+    ends truncate alike; else it is PrecisionUnattainable.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
     k = digits * 3322 // 1000 + GUARD_BITS + 1
-    try:
-        while True:
-            lo, hi, j, _, end = enclose(k)
+    with contextlib.suppress(ExponentBudgetExceeded):
+        for lo, hi, j, _, _ in deepen(enclose, k, schedule):
             # a width of 2**(1-3*digits) > 2 * 10**-digits separates the
             # truncations, so it is refused before 10**digits is built
             if hi - lo < 1 << max(0, j + 1 - 3 * digits):
@@ -197,15 +209,8 @@ def certified_digits(enclose, digits: int) -> str:
                 t = [-(-x * scale >> j) if x < 0 else x * scale >> j for x in (lo, hi)]
                 if t[0] == t[1]:
                     return format_fixed(t[0], digits)
-            if end is not None:
-                raise end
-            k *= 2
-    except ExponentBudgetExceeded as exc:
-        # exc may be an enclosure's cached refusal: keep no traceback that
-        # ties it to this frame and so to the series behind `enclose`
-        raise PrecisionUnattainable(
-            f"no enclosure tight enough for {digits} decimal places "
-            f"within the configured budgets") from exc.with_traceback(None)
+    raise PrecisionUnattainable(
+        f"no enclosure tight enough for {digits} decimal places within the configured budgets")
 
 
 def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:

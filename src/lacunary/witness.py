@@ -38,11 +38,11 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import MATERIALIZE_BITS, check_power, root_sci_string
+from .intmath import gated_pow, int_label, root_sci_string, value_label
 from .interval import RationalInterval
 from .logenc import ln_int_interval, ln_of_interval
 from .powercmp import Ordering, PurePower, compare
-from .series import (GUARD_BITS, Convergent, LacunarySeries, certified_digits,
+from .series import (GUARD_BITS, Convergent, LacunarySeries, certified_digits, deepen,
                      exponent_after)
 
 _MARGIN_DIGITS = 8
@@ -80,7 +80,8 @@ class CompositeNumber:
             raise InvalidConfigError("op", f"unknown operation {self.op!r}")
         if self.s1.base <= self.s2.base:
             raise InvalidConfigError(
-                "g1", f"first base must exceed the second, got g1={self.s1.base} <= g2={self.s2.base}")
+                "g1", f"first base must exceed the second, got g1={int_label(self.g1)} "
+                f"<= g2={int_label(self.g2)}")
         if self.s1.schedule is not self.s2.schedule:
             raise InvalidConfigError("schedule", "both series must share the same schedule object")
 
@@ -147,12 +148,6 @@ def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     return RationalInterval.dyadic(lo, hi, k)
 
 
-def _gated_pow(x: int, e: int, what: str) -> int:
-    """x**e, refused by the size gate before it is built."""
-    check_power(what, e, x.bit_length())
-    return x ** e
-
-
 def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     """Certified rational upper bound on |value - convergent_n|.
 
@@ -203,7 +198,7 @@ def find_n0(c: CompositeNumber, d, n_max: int) -> ThresholdScan:
     """
     d = Fraction(d)
     if d <= 2:
-        raise InvalidConfigError("d", f"exponent target must exceed 2, got {d}")
+        raise InvalidConfigError("d", f"exponent target must exceed 2, got {value_label(d)}")
     if not isinstance(n_max, int) or n_max < 1:
         raise InvalidConfigError("n_max", f"must be a positive integer, got {n_max!r}")
     du, dv = d.numerator, d.denominator
@@ -253,8 +248,8 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
     GUARD_BITS, about GUARD_BITS finer than the gap.  The irrational
     threshold is cleared: for d_eff = u/v, gap < q**(-u/v) iff gap**v *
     q**u < 1, so hi**v * q**u < 2**(k*v) certifies a pass and lo**v *
-    q**u >= 2**(k*v) a fail, exact integer tests on gated powers.  k
-    doubles until one holds, up to the schedule's end or the size cap.
+    q**u >= 2**(k*v) a fail, exact integer tests on gated powers.
+    `deepen` doubles k until one holds; undecided, it is InsufficientDepth.
     """
     d_eff = Fraction(d_eff)
     if d_eff <= 2:
@@ -263,27 +258,20 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
         raise InvalidConfigError("n", "quotient verification starts at n=2")
     conv = composite_convergent(c, n)
     u, v = d_eff.numerator, d_eff.denominator
-    a_next = exponent_after(c.schedule, n)[0]
-    k = -(-a_next * (c.g2 ** 64).bit_length() // 64) + GUARD_BITS
-    qs = _gated_pow(conv.q, u, f"q_{n}")
-    while True:
-        lo, hi, k, depth, end = _gap_dyadic(c, conv, k)
-        stat = _gated_pow(hi, v, "gap.hi") * qs
+    k = -(-exponent_after(c.schedule, n) * (c.g2 ** 64).bit_length() // 64) + GUARD_BITS
+    qs = gated_pow(conv.q, u, f"q_{n}")
+    for lo, hi, k, depth, _ in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
+        stat = gated_pow(hi, v, "gap.hi") * qs
         passed = stat.bit_length() <= k * v
         if not passed:
-            stat = _gated_pow(lo, v, "gap.lo") * qs
+            stat = gated_pow(lo, v, "gap.lo") * qs
         if passed or stat.bit_length() > k * v:
             return RothCheck(
                 n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
                 margin=root_sci_string(Fraction(stat, 1 << k * v), v, _MARGIN_DIGITS),
                 depth=depth, gap=RationalInterval.dyadic(lo, hi, k))
-        if isinstance(end, NonIntegralExponent):
-            raise end
-        if end is not None or 2 * k > MATERIALIZE_BITS:
-            raise InsufficientDepth(
-                f"no working precision up to {k} bits separates the gap at n={n} "
-                f"from the threshold")
-        k *= 2
+    raise InsufficientDepth(
+        f"no working precision up to {k} bits separates the gap at n={n} from the threshold")
 
 
 def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterval:
@@ -368,7 +356,7 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
     """
     d = Fraction(d)
     if d <= 2:
-        raise InvalidConfigError("d", f"exponent target must exceed 2, got {d}")
+        raise InvalidConfigError("d", f"exponent target must exceed 2, got {value_label(d)}")
     if d_eff is None:
         d_eff = (2 + d) / 2
     else:
@@ -442,15 +430,15 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: Fraction,
     ps1 = c.s1.partial_sum(n)
     ps2 = c.s2.partial_sum(n)
     h2 = c.s2.dyadic(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
-    num = _gated_pow(gap_hi.numerator, dv, "gap.hi")
-    den = _gated_pow(gap_hi.denominator, dv, "gap.hi")
-    q_form = num * _gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 4 ** dv * den
-    p_form = (num * _gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
-              < _gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") * den)
+    num = gated_pow(gap_hi.numerator, dv, "gap.hi")
+    den = gated_pow(gap_hi.denominator, dv, "gap.hi")
+    q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 4 ** dv * den
+    p_form = (num * gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
+              < gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") * den)
     return QuotientForms(q_denominator_form=q_form, p_denominator_form=p_form)
 
 
 def composite_digits(c: CompositeNumber, digits: int) -> str:
     """Toward-zero decimal expansion of the composite value, certified by
     enclosure agreement exactly like the per-series version."""
-    return certified_digits(lambda k: _value_dyadic(c, k), digits)
+    return certified_digits(lambda k: _value_dyadic(c, k), digits, c.schedule)

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from lacunary import __version__, certjson, cli, measure, series
+from lacunary import (CompositeNumber, LacunarySeries, PowerSchedule, __version__, certjson,
+                      cli, measure, series)
 from lacunary.certjson import certificate_document, dumps, loads
+from lacunary.errors import InvalidConfigError
 from lacunary.cli import main
 from lacunary.witness import Op, certify, gap_bound
 
@@ -213,6 +215,76 @@ def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys):
         assert code == 2 and out == ""
         assert err.startswith("config error: out: expected a string")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+CAP = cli.MAX_NUMBER_CHARS
+HUGE = "9" * (CAP - 1)  # the longest negative integer text under the cap
+
+
+def test_number_text_over_the_cap_is_refused(tmp_path, capsys):
+    long_int = "1" + "0" * CAP
+    for argv, field in ((["validate", "--a1", long_int], "a1"),
+                        (["validate", "--beta", "1/" + long_int], "beta")):
+        assert run_cli(capsys, *argv) == (
+            2, "", f"config error: {field}: number text longer than {CAP} characters\n")
+    cfg = tmp_path / "cfg.json"
+    for text, field in ((long_int, "config"), (json.dumps(long_int), "a1")):
+        cfg.write_text('{"a1": %s}' % text)
+        assert run_cli(capsys, "validate", "--config", str(cfg)) == (
+            2, "", f"config error: {field}: number text longer than {CAP} characters\n")
+    # text at the cap is read, as a flag and as a JSON number
+    at_cap = long_int[:-1]
+    cfg.write_text('{"a1": %s}' % at_cap)
+    for argv in (["--a1", at_cap], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, "validate", "--budget-bits", str(8 * CAP),
+                                 "--n-to", "1", *argv)
+        assert code == 0 and err == "" and out.endswith("summary: 1/1 indices inside the window\n")
+
+
+def test_json_integers_are_used_as_parsed():
+    value = 10 ** 5000
+    assert cli._parse_int("a1", value) is value
+
+
+@pytest.mark.parametrize("argv", [
+    ["digits", "--g2", "-" + HUGE],
+    ["digits", "--g1", "1" + "0" * (CAP - 2), "--g2", HUGE],
+    ["digits", "--n-from", "-" + HUGE],
+    ["convergents", "--n-to", "-" + HUGE],
+    ["digits", "--digits", "-" + HUGE],
+    ["measure", "--height", "-" + HUGE],
+    ["digits", "--a1", "x" * CAP],
+    ["digits", "--beta", "x" * CAP],
+    ["digits", "--op", "x" * CAP],
+    ["digits", "--a1", "-" + HUGE],
+    ["validate", "--beta", "-" + HUGE],
+    ["validate", "--budget-bits", HUGE],
+    ["validate", "--budget-bits", "-" + HUGE],
+    ["validate", "--alpha", "1/" + HUGE],
+    ["validate", "--k", "-" + HUGE],
+    ["measure", "--d", "1/" + HUGE],
+    ["witness", "--d", "-" + HUGE],
+    {"beta": [1] * (CAP // 5)},
+    {"a1": [1] * (CAP // 5)},
+    {"out": [1] * CAP},
+], ids=lambda a: " ".join(x[:8] for x in a) if isinstance(a, list) else f"config {[*a][0]}")
+def test_refusals_do_not_echo_huge_inputs(tmp_path, capsys, argv):
+    if isinstance(argv, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv))
+        argv = ["digits", "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and len(err.encode()) < 1024, err[:200]
+
+
+def test_composite_refusal_names_huge_bases_by_bit_length():
+    sched = PowerSchedule(2, Fraction(1))
+    big = 10 ** CAP
+    with pytest.raises(InvalidConfigError) as info:
+        CompositeNumber(Op.SUM, LacunarySeries(big, sched), LacunarySeries(big + 1, sched))
+    assert str(info.value) == ("g1: first base must exceed the second, got "
+                               "g1=<332193-bit integer> <= g2=<332193-bit integer>")
 
 
 def test_module_entry_point_version():
@@ -447,8 +519,8 @@ def test_in_process_calls_match_fresh_processes(capsys):
     (3, ["digits", "--budget-bits", "9", "--digits", "400"]),
 ])
 def test_series_are_freed_when_main_returns(monkeypatch, capsys, code, argv):
-    # a cached refusal that kept its traceback held the series in a
-    # reference cycle, alive until the cyclic collector ran
+    # nothing a series caches may hold a traceback, whose frames would tie
+    # the series into a reference cycle, alive until the cyclic collector ran
     made = []
     init = series.LacunarySeries.__init__
 
@@ -464,3 +536,29 @@ def test_series_are_freed_when_main_returns(monkeypatch, capsys, code, argv):
         assert [ref() for ref in made] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("code, argv, err", [
+    (3, ["digits", "--budget-bits", "9", "--digits", "400"],
+     "budget error: no enclosure tight enough for 400 decimal places"),
+    (2, ["digits", "--beta", "1/2", "--a1", "16", "--digits", "400"],
+     "config error: a_4 = a_3**(3/2) is not an integer: "),
+    (0, ["witness", "--beta", "1/2", "--a1", "16"], ""),
+])
+def test_enclosure_caches_hold_only_integers(monkeypatch, capsys, code, argv, err):
+    # an enclosure cut short by the schedule's end records the index the
+    # schedule refused, not the refusal: the cache keeps no exception
+    made = []
+    init = series.LacunarySeries.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(series.LacunarySeries, "__init__", tracked)
+    got, _, stderr = run_cli(capsys, *argv)
+    assert got == code and stderr.startswith(err)
+    assert len(made) == 2 and any(s._dyadic for s in made)
+    for s in made:
+        for entry in s._dyadic.values():
+            assert all(x is None or type(x) is int for x in entry), entry

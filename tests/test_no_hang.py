@@ -55,3 +55,14 @@ def test_finishes_within_bound(argv, code):
     proc = run_capped(argv)
     assert proc.returncode == code, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["json-number", "json-string"])
+def test_oversized_config_number_is_refused_unread(tmp_path, quote):
+    # int() on a million digits takes seconds: the text is refused by its length
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"a1": %s%s%s}' % (quote, "9" * 10**6, quote))
+    proc = run_capped(["validate", "--config", str(cfg), "--budget-bits", "33554432",
+                       "--n-to", "1"])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("config error: ") and len(proc.stderr) < 1024

@@ -1,0 +1,72 @@
+"""Byte pins of the CLI's output.
+
+Each case pins sha256 of stdout, sha256 of stderr and the exit code of
+one `lacunary` call.  A change that alters any of them must update the
+pin here and say why the output moved.
+"""
+
+import hashlib
+
+import pytest
+
+from lacunary.cli import main
+
+# sha256 of no output at all
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+PINS = [
+    (("witness", "--op", "sum"),
+     "81f54791cb3c46860cd21951fd4baafa7f2a84cea5bbea97df4140f8a66b766a",
+     EMPTY, 0),
+    (("witness", "--op", "difference"),
+     "eb4e0f61474e3c049fc702c66efd5f5262f39ca7bc70d1ce6bac522920c7f561",
+     EMPTY, 0),
+    (("witness", "--op", "product"),
+     "263697a113d90979150a0e20f26f1e4ffc4888cc11691ddcf06f878b3fe0db1a",
+     EMPTY, 0),
+    (("witness", "--op", "quotient"),
+     "868a6e69b183f397dec219422b10971321fc564adbc80d2f840bfa2c2aa4ddda",
+     EMPTY, 0),
+    (("witness", "--g1", "7", "--g2", "5", "--op", "product"),
+     "6cd85ddff2d3990965f8ff28199cfa233a3fad0f0de1de8aaa9999fb6bb947fa",
+     EMPTY, 0),
+    (("witness", "--beta", "1/2", "--a1", "16"),
+     "617c23bbc29f420464b7d2251de036508e394368678d490540e0ee8cb1f57070",
+     EMPTY, 0),
+    (("digits", "--digits", "2000", "--op", "sum"),
+     "ab17ee91021d47882523684cd42c868e1acdd022e32650a35d75fb0d6c4221a4",
+     EMPTY, 0),
+    (("digits", "--digits", "2000", "--op", "difference"),
+     "e219c88cb2e575c918aeaf72fc301a60aef986248e8e564624e93f61f04d7722",
+     EMPTY, 0),
+    (("digits", "--digits", "2000", "--op", "product"),
+     "8000bdfbead71a99a8a97db8ac1903da51caba5ba6a51c8aefcd9c40fbea3471",
+     EMPTY, 0),
+    (("digits", "--digits", "2000", "--op", "quotient"),
+     "bc2014397e52a9195c3c724c2fb36a4584903941dcf3594fbc7de9223f94bc13",
+     EMPTY, 0),
+    (("digits", "--budget-bits", "9", "--digits", "400"),
+     EMPTY,
+     "43b48182da55b1da5b8377c7451b0070dfb5c75c27f7a0e88071333949bd5048", 3),
+    (("convergents", "--n-to", "5"),
+     "7e602324e6a9779770c8175865f544f63aef9c53f1ac0ed92baa735f71039b2b",
+     EMPTY, 0),
+    (("measure", "--height", "3"),
+     "84b8106fae93f1081ff957bbb4eec74a3a3d6ccfc668fd366f8da3453743a564",
+     EMPTY, 0),
+    (("validate", "--n-to", "3"),
+     "95228e9b1b6dae2414b71c21eda3270680a419927c59d1b21d2d8f47b53d46cc",
+     EMPTY, 0),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", PINS,
+                         ids=[" ".join(p[0]) for p in PINS])
+def test_output_bytes_are_pinned(capsys, argv, stdout_sha, stderr_sha, code):
+    got = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (sha256(out), sha256(err), got) == (stdout_sha, stderr_sha, code)

@@ -16,6 +16,7 @@ from lacunary.schedule import PowerSchedule
 from lacunary.series import (
     Convergent,
     LacunarySeries,
+    deepen,
     deepest_feasible,
     digits_from_interval,
     format_fixed,
@@ -194,11 +195,13 @@ def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
     # The 2*a_n fallback lives in the dyadic enclosure and builds no power.
     # At 20 bits a_6 is over the exponent budget: the tail past a_5 = 65536
     # is bounded from 2*a_5 = 131072, the enclosure stops narrowing there
-    # (j = 131072*bits(2) + 64) and reports the refusal; the Fraction bound
-    # needs a_6 itself.
+    # (j = 131072*bits(2) + 64) and reports the index the schedule refused;
+    # the Fraction bound needs a_6 itself.
     s = make_series(2, budget_bits=20)
     lo, hi, j, terms, end = s.dyadic(1 << 20)
-    assert isinstance(end, ExponentBudgetExceeded) and terms == 5
+    assert end == 6 and terms == 5
+    with pytest.raises(ExponentBudgetExceeded):
+        s.schedule.exponent(end)
     assert j == 2 * 131072 + 64 and hi - lo == 5 + (1 << (j - 131071))
     with pytest.raises(ExponentBudgetExceeded):
         s.rigorous_tail_upper(5)
@@ -206,6 +209,19 @@ def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
     # tail at any precision, and 2**(2**32) is never built.
     lo, hi, j, terms, end = make_series(2, budget_bits=33).dyadic(1 << 20)
     assert end is None and (j, terms, hi - lo) == (1 << 20, 5, 6)
+
+
+def test_deepen_doubles_to_the_cap_and_stops_at_the_schedule_end():
+    def enclose_ending_at(end):
+        return lambda k: (0, 1, k, 1, end)
+
+    sched = PowerSchedule(16, Fraction(1, 2))  # a_4 is refused: not an integer
+    ks = [got[2] for got in deepen(enclose_ending_at(None), 1 << 20, sched)]
+    assert ks == [1 << 20, 1 << 21, 1 << 22, 1 << 23, 1 << 24, 1 << 25]
+    over_budget = PowerSchedule(2, Fraction(1), budget_bits=20)  # a_6 is refused
+    assert len(list(deepen(enclose_ending_at(6), 64, over_budget))) == 1
+    with pytest.raises(NonIntegralExponent, match=r"^a_4 = a_3\*\*\(3/2\) is not an integer"):
+        list(deepen(enclose_ending_at(4), 64, sched))
 
 
 def test_enclosures_are_built_once_per_depth():
