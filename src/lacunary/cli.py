@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,12 +83,24 @@ def _parse_int(field: str, value) -> int:
         raise InvalidConfigError(field, f"expected an integer, got {value_label(value)}") from exc
 
 
+# The decimal exponent of rational text like "1e99999999": Fraction would
+# build 10**exponent, so it obeys the same cap as the length of plain text.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
+
+
 def _parse_rational(field: str, value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise InvalidConfigError(
             field, f"expected an exact rational like \"5/2\", got {value_label(value)}")
+    if not isinstance(value, int):
+        value = _number_text(field, value)
+        exp = _EXPONENT.search(value)
+        digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+        if len(digits) > len(str(MAX_NUMBER_CHARS)) or int(digits or 0) > MAX_NUMBER_CHARS:
+            raise InvalidConfigError(
+                field, f"decimal exponent beyond {MAX_NUMBER_CHARS} in absolute value")
     try:
-        return Fraction(value if isinstance(value, int) else _number_text(field, value))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidConfigError(field, f"not a rational: {value_label(value)}") from exc
 

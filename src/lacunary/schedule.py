@@ -86,14 +86,14 @@ class PowerSchedule:
                 power = 1 + self.beta
                 if not exact:
                     raise NonIntegralExponent(
-                        f"a_{m + 1} = a_{m}**({power}) is not an integer: "
+                        f"a_{m + 1} = a_{m}**({value_label(power)}) is not an integer: "
                         f"a_{m} = {int_label(last)} is not a perfect {v}-th power")
                 # c = a_m**(1/v) = root**(e/g) and a_{m+1} = c**(u+v); with
                 # v = 1, c is a_m itself and is not built again
                 c = last if v == 1 else root ** (e // g)
                 if power_vs_threshold(PurePower(c, u + v), self._limit) is Ordering.GREATER:
                     raise ExponentBudgetExceeded(
-                        f"a_{m + 1} = {int_label(last)}**({power}) exceeds the "
+                        f"a_{m + 1} = {int_label(last)}**({value_label(power)}) exceeds the "
                         f"2**{self.budget_bits} exponent budget")
                 self._cache.append(c ** (u + v))
                 self._base_power = (root, e // g * (u + v))

@@ -55,15 +55,28 @@ class Op(enum.Enum):
     QUOTIENT = "quotient"
 
 
+def _product(l1, h1, l2, h2, j):
+    # h1*h2 = l1*l2 + l1*(h2 - l2) + (h1 - l1)*h2
+    p = l1 * l2
+    return p >> j, -(-(p + l1 * (h2 - l2) + (h1 - l1) * h2) >> j)
+
+
+def _quotient(l1, h1, l2, h2, j):
+    # with l1*2**j = q*l2 + r, floor(l1*2**j / h2) = q + floor((r - q*(h2 - l2)) / h2)
+    # and ceil(h1*2**j / l2) = q + ceil((r + (h1 - l1)*2**j) / l2)
+    q, r = divmod(l1 << j, l2)
+    return q + (r - q * (h2 - l2)) // h2, q - (-(r + ((h1 - l1) << j)) // l2)
+
+
 # Each op on Fractions, and on [lo, hi] * 2**-j ends with outward
-# rounding (both series are positive).
+# rounding (both series are positive).  Each does one full-width multiply
+# or divide: the other end follows from it by products and quotients of
+# the few-unit widths h - l.
 _APPLY = {
     Op.SUM: (operator.add, lambda l1, h1, l2, h2, j: (l1 + l2, h1 + h2)),
     Op.DIFFERENCE: (operator.sub, lambda l1, h1, l2, h2, j: (l1 - h2, h1 - l2)),
-    Op.PRODUCT: (operator.mul,
-                 lambda l1, h1, l2, h2, j: (l1 * l2 >> j, -(-h1 * h2 >> j))),
-    Op.QUOTIENT: (operator.truediv,
-                  lambda l1, h1, l2, h2, j: ((l1 << j) // h2, -((-h1 << j) // l2))),
+    Op.PRODUCT: (operator.mul, _product),
+    Op.QUOTIENT: (operator.truediv, _quotient),
 }
 
 
@@ -124,8 +137,9 @@ def _value_dyadic(c: CompositeNumber, k: int) -> tuple:
 def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
     """|value - p/q| in [lo, hi] * 2**-j, as `_value_dyadic` returns it."""
     lo, hi, j, terms, end = _value_dyadic(c, k)
-    lo -= -((-conv.p << j) // conv.q)  # ceil(p/q * 2**j)
-    hi -= (conv.p << j) // conv.q
+    f, r = divmod(conv.p << j, conv.q)  # f = floor(p/q * 2**j)
+    lo -= f + (r > 0)
+    hi -= f
     if hi < 0:
         lo, hi = -hi, -lo
     elif lo < 0:

@@ -241,6 +241,21 @@ def test_number_text_over_the_cap_is_refused(tmp_path, capsys):
         assert code == 0 and err == "" and out.endswith("summary: 1/1 indices inside the window\n")
 
 
+def test_exponent_form_rationals_obey_the_number_cap(tmp_path, capsys):
+    # the decimal exponent obeys the cap on the length of plain text
+    refusal = f"config error: beta: decimal exponent beyond {CAP} in absolute value\n"
+    for text in (f"1e{CAP + 1}", f"1E-{CAP + 1}", "1e0_000_000_100_001", "2.5e99999999"):
+        assert run_cli(capsys, "validate", "--beta", text, "--n-to", "1") == (2, "", refusal)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"beta": "1e-999999999"}')
+    assert run_cli(capsys, "validate", "--config", str(cfg)) == (2, "", refusal)
+    # an exponent at the cap is read, and the budget refusal names 1+beta
+    # by its bit length
+    code, out, err = run_cli(capsys, "validate", "--beta", f"1e{CAP}", "--n-to", "1")
+    assert (code, out) == (3, "") and "**(<332193-bit integer>) exceeds" in err
+    assert len(err) < 200
+
+
 def test_json_integers_are_used_as_parsed():
     value = 10 ** 5000
     assert cli._parse_int("a1", value) is value

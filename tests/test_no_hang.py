@@ -47,6 +47,12 @@ CASES = [
     # root of g2, never a perfect-power search on a 32768-bit g1*g2
     pytest.param(["witness", "--g1", str(_random_odd(32768, 2)), "--n-to", "1"], 0,
                  id="witness-random-g1"),
+    # exponent-form text is refused by its decimal exponent, before Fraction
+    # builds 10**99999999
+    pytest.param(["validate", "--beta", "1e99999999", "--n-to", "1"], 2,
+                 id="validate-exponent-form-beta"),
+    pytest.param(["validate", "--beta", "1e-999999999", "--n-to", "1"], 2,
+                 id="validate-negative-exponent-beta"),
 ]
 
 

@@ -45,6 +45,18 @@ PINS = [
     (("digits", "--digits", "2000", "--op", "quotient"),
      "bc2014397e52a9195c3c724c2fb36a4584903941dcf3594fbc7de9223f94bc13",
      EMPTY, 0),
+    (("digits", "--digits", "27500", "--op", "difference"),
+     "36613b3fb50278d4b72fe5129eddcc79c67b28e54408536b6b7752cc40e1a555",
+     EMPTY, 0),
+    (("digits", "--digits", "27500", "--op", "product"),
+     "dc0377b6bac88e9daaa6fa68b98a04b72ea898c67ccc07dfd2ce19b58c2da20d",
+     EMPTY, 0),
+    (("digits", "--digits", "27500", "--op", "quotient"),
+     "aa9e1349fdc42cc3ba83498c8204ffc5d705299f923736eae83b82bc56b15f49",
+     EMPTY, 0),
+    (("witness", "--g1", "7", "--g2", "5", "--op", "quotient"),
+     "8ea1850658019067baaeb0f8d88bd64a09b4aabe7247a8e966e594bfc85a49ac",
+     EMPTY, 0),
     (("digits", "--budget-bits", "9", "--digits", "400"),
      EMPTY,
      "43b48182da55b1da5b8377c7451b0070dfb5c75c27f7a0e88071333949bd5048", 3),

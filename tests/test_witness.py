@@ -1,8 +1,12 @@
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lacunary.errors import (
     ExponentBudgetExceeded,
@@ -12,7 +16,8 @@ from lacunary.errors import (
 )
 from lacunary.interval import RationalInterval
 from lacunary.schedule import PowerSchedule
-from lacunary.series import Convergent, LacunarySeries
+from lacunary import witness
+from lacunary.series import Convergent, LacunarySeries, format_fixed
 from lacunary.witness import (
     CompositeNumber,
     Op,
@@ -22,6 +27,8 @@ from lacunary.witness import (
     empirical_exponent,
     find_n0,
     gap_bound,
+    _APPLY,
+    _gap_dyadic,
     _value_dyadic,
     true_gap_enclosure,
     value_enclosure,
@@ -285,3 +292,47 @@ def test_composite_digits_known_values():
     assert composite_digits(build_example(Op.QUOTIENT), 10) == "0.3950425135"
     with pytest.raises(InvalidConfigError):
         composite_digits(build_example(Op.SUM), 0)
+
+
+ENDS = st.integers(1, 1 << 4100)
+WIDTHS = st.integers(0, 1 << 8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(l1=ENDS, w1=WIDTHS, l2=ENDS, w2=WIDTHS, j=st.integers(0, 4000))
+@example(l1=(1 << 4000) // 3, w1=0, l2=(1 << 4000) // 5, w2=7, j=4000)
+@example(l1=(1 << 4000) // 3, w1=5, l2=(1 << 4000) // 5, w2=0, j=4000)
+def test_product_and_quotient_ends_match_two_full_operations(l1, w1, l2, w2, j):
+    # each op derives one end from the other through the widths; the ends
+    # are the integers that two full-width operations give
+    h1, h2 = l1 + w1, l2 + w2
+    assert _APPLY[Op.PRODUCT][1](l1, h1, l2, h2, j) == (l1 * l2 >> j, -(-h1 * h2 >> j))
+    assert _APPLY[Op.QUOTIENT][1](l1, h1, l2, h2, j) == ((l1 << j) // h2,
+                                                         -((-h1 << j) // l2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lo=st.integers(-(1 << 4100), 1 << 4100), width=WIDTHS,
+       p=st.integers(-(1 << 4100), 1 << 4100), q=ENDS, j=st.integers(0, 4000))
+@example(lo=0, width=0, p=6, q=3, j=10)
+def test_gap_ends_match_separate_floor_and_ceiling(lo, width, p, q, j):
+    hi = lo + width
+    up, down = lo - -((-p << j) // q), hi - ((p << j) // q)
+    want = (-down, -up) if down < 0 else (0, max(-up, down)) if up < 0 else (up, down)
+    with mock.patch.object(witness, "_value_dyadic", lambda c, k: (lo, hi, j, 1, None)):
+        got = _gap_dyadic(None, SimpleNamespace(p=p, q=q), j)
+    assert got == (*want, j, 1, None)
+
+
+DIFFERENCE = build_example(Op.DIFFERENCE)
+# theta1 - theta2 < 0 lies within 4 * 2**-a_5 = 2**-65534 of its convergent at n = 4
+NEAR_DIFFERENCE = composite_convergent(DIFFERENCE, 4).fraction
+
+
+@settings(deadline=None, max_examples=60)
+@given(places=st.integers(1, 3000))
+def test_difference_digits_match_fraction_truncation(places):
+    slack = Fraction(1, 2 ** 65534)
+    ends = [int((NEAR_DIFFERENCE + x) * 10 ** places) for x in (-slack, slack)]
+    assume(ends[0] == ends[1])
+    assert composite_digits(DIFFERENCE, places) == format_fixed(ends[0], places)
