@@ -92,15 +92,16 @@ def _parse_rational(field: str, value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise InvalidConfigError(
             field, f"expected an exact rational like \"5/2\", got {value_label(value)}")
+    text = value
     if not isinstance(value, int):
-        value = _number_text(field, value)
-        exp = _EXPONENT.search(value)
+        text = _number_text(field, value)
+        exp = _EXPONENT.search(text)
         digits = exp[1].replace("_", "").lstrip("0") if exp else ""
         if len(digits) > len(str(MAX_NUMBER_CHARS)) or int(digits or 0) > MAX_NUMBER_CHARS:
             raise InvalidConfigError(
                 field, f"decimal exponent beyond {MAX_NUMBER_CHARS} in absolute value")
     try:
-        return Fraction(value)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidConfigError(field, f"not a rational: {value_label(value)}") from exc
 

@@ -92,10 +92,10 @@ def decimal_str(n: int) -> str:
     CPython before 3.12 converts int to str in quadratic time.  Above
     STR_CUTOVER_BITS, n is split by bit halves and rebuilt as a
     decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
-    algorithm, CPython 3.12's Lib/_pylong.py).  A factor 2**z with z >
-    _LEAF_BITS is split off first and applied as one Decimal product.  The
-    context has unbounded precision and exponent range and traps Inexact,
-    so a rounding raises instead of misprinting.  The memo of powers of two
+    algorithm, CPython 3.12's Lib/_pylong.py).  The factor 2**z of n is
+    split off first and applied as one Decimal product.  The context has
+    unbounded precision and exponent range and traps Inexact, so a
+    rounding raises instead of misprinting.  The memo of powers of two
     lives for one call.
     """
     if n.bit_length() <= STR_CUTOVER_BITS:
@@ -127,11 +127,8 @@ def decimal_str(n: int) -> str:
         ctx.traps[decimal.Inexact] = True
         m = abs(n)
         z = (m & -m).bit_length() - 1
-        if z > _LEAF_BITS:
-            odd = m >> z
-            digits = str(rebuild(odd, odd.bit_length()) * two_to(z))
-        else:
-            digits = str(rebuild(m, m.bit_length()))
+        odd = m >> z
+        digits = str(rebuild(odd, odd.bit_length()) * two_to(z))
     return "-" + digits if n < 0 else digits
 
 

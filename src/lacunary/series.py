@@ -65,9 +65,6 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
-        # b64 <= 64*log2(base), from the top 64 bits when base is wider
-        top = max(0, base.bit_length() - 64)
-        self._bits64 = ((base >> top) ** 64).bit_length() - 1 + 64 * top
         self._partial: dict[int, Convergent] = {}
         self._dyadic: dict[int, tuple] = {}
 
@@ -126,14 +123,12 @@ class LacunarySeries:
 
         With b = bits(g) - 1, so that g**a >= 2**(a*b), lo sums (2**j) //
         g**a_m over the M = `terms` exponents with a_m*b <= k+2 (a_1
-        always) and falls short by under M units.  A term with a_m*b64 >
-        64*j, for b64 <= 64*log2(g), floors to 0 and is not built.  The
-        tail is under g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a
-        quarter unit if e*b >= k+3, so hi = lo + M + 1, j = k and the
-        width is (M + c) * 2**-k with c = 1.  Otherwise the schedule ended
-        first (`end` is the index it refused) and no k narrows the
-        interval: j drops to e*bits(g) + GUARD_BITS and the tail is
-        rounded up.
+        always) and falls short by under M units.  The tail is under
+        g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a quarter unit if
+        e*b >= k+3, so hi = lo + M + 1, j = k and the width is (M + c) *
+        2**-k with c = 1.  Otherwise the schedule ended first (`end` is
+        the index it refused) and no k narrows the interval: j drops to
+        e*bits(g) + GUARD_BITS and the tail is rounded up.
         """
         got = self._dyadic.get(k)
         if got is not None:
@@ -156,7 +151,7 @@ class LacunarySeries:
         j = min(k, e * g.bit_length() + GUARD_BITS) if short else k
         check_power(2, j, 1)
         tail = -(-(g << j) // ((g - 1) * self._power(e))) if short else 1
-        lo = sum((1 << j) // self._power(a) for a in exps if a * self._bits64 <= 64 * j)
+        lo = sum((1 << j) // self._power(a) for a in exps if a * b <= j)
         got = self._dyadic[k] = (lo, lo + len(exps) + tail, j, len(exps), end if short else None)
         return got
 

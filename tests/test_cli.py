@@ -256,6 +256,15 @@ def test_exponent_form_rationals_obey_the_number_cap(tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_non_text_rationals_are_quoted_as_given(tmp_path, capsys):
+    # a JSON null, list or object is refused by its own repr, not its str()
+    cfg = tmp_path / "cfg.json"
+    for text, label in (("null", "None"), ("[1]", "[1]"), ('{"a": 1}', "{'a': 1}")):
+        cfg.write_text('{"beta": %s}' % text)
+        assert run_cli(capsys, "validate", "--config", str(cfg)) == (
+            2, "", f"config error: beta: not a rational: {label}\n")
+
+
 def test_json_integers_are_used_as_parsed():
     value = 10 ** 5000
     assert cli._parse_int("a1", value) is value
