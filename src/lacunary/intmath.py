@@ -1,5 +1,5 @@
 """Exact integer and rational helpers: the size gate, roots, power
-decompositions, decimal output.
+decompositions, fast division, decimal output.
 
 Everything here is exact integer, Fraction or trapped-Inexact Decimal
 arithmetic; no float enters this module at all.
@@ -18,6 +18,7 @@ __all__ = [
     "check_power",
     "decimal_str",
     "gated_pow",
+    "int_divmod",
     "int_label",
     "value_label",
     "introot",
@@ -175,56 +176,185 @@ _LOG10_2 = (30102999566, 30102999567)
 _LOG10_2_DEN = 10 ** 11
 
 
-def floor_log10(x: Fraction) -> int:
-    """Exact floor(log10(x)) for x > 0."""
-    if x <= 0:
-        raise ValueError("floor_log10 requires x > 0")
-    p, q = x.numerator, x.denominator
-    # With D = bits(p) - bits(q), 2**(D-1) < x < 2**(D+1).  Scaling D-1 and
-    # D+1 by the outer one of _LOG10_2 = (lo, hi), over _LOG10_2_DEN, puts
-    # floor(log10 x) in [e, top]: at most two candidates while |D| < 10**10,
-    # so at most one exact comparison.
-    d = p.bit_length() - q.bit_length()
+def floor_log10(n: int, k: int) -> int:
+    """Exact floor(log10(n * 2**-k)) for n > 0 and k >= 0."""
+    if n <= 0 or k < 0:
+        raise ValueError("floor_log10 requires n > 0 and k >= 0")
+    # For x = n * 2**-k and D = bits(n) - (k + 1), 2**(D-1) < x < 2**(D+1).
+    # Scaling D-1 and D+1 by the outer one of _LOG10_2 = (lo, hi), over
+    # _LOG10_2_DEN, puts floor(log10 x) in [e, top]: at most two candidates
+    # while |D| < 10**10, so at most one exact comparison.
+    d = n.bit_length() - k - 1
     lo, hi = _LOG10_2
     e = (d - 1) * (lo if d >= 1 else hi) // _LOG10_2_DEN
     top = -(-(d + 1) * (hi if d >= -1 else lo) // _LOG10_2_DEN) - 1
-    while e < top and _le_pow10(e + 1, p, q):
+    # 10**(e+1) <= x iff floor(x * 10**-(e+1)) >= 1
+    while e < top and _floor_times_pow10(n, k, -e - 1) >= 1:
         e += 1
     return e
 
 
-def _le_pow10(e: int, p: int, q: int) -> bool:
-    if e >= 0:
-        return q * 10 ** e <= p
-    return q <= p * 10 ** (-e)
+def _floor_times_pow10(n: int, k: int, s: int) -> int:
+    """floor(n * 2**-k * 10**s) for n >= 0 and k >= 0.
 
-
-def root_sci_string(x: Fraction, v: int, sig: int = 6) -> str:
-    """Scientific-notation string of x**(1/v), truncated toward zero.
-
-    x must be a positive rational; v >= 1. Digits are exact: the printed
-    mantissa is floor(x**(1/v) * 10**(sig-1-e)) for the true decade e.
+    10**s = 5**s * 2**s, so this is a product or a quotient by 5**|s| and
+    shifts.  5**|s| is first bracketed to about 64 bits more than the
+    result has; 5**|s| itself is built only when the bracket's two ends
+    floor apart.
     """
-    if x < 0:
-        raise ValueError("root_sci_string requires x >= 0")
-    if x == 0:
+    m = abs(s)
+
+    def scaled(p, t):  # the floor with p * 2**t in place of 5**m
+        if s < 0:
+            return (n >> k - s + t) // p
+        x = n * p
+        return x << t + s - k if t + s >= k else x >> k - s - t
+
+    w = max(0, n.bit_length() - k + s * 3322 // 1000) + 2 * m.bit_length() + 64
+    lo, hi, t = _pow5_bracket(m, w)
+    got = scaled(lo, t)
+    return got if got == scaled(hi, t) else scaled(5 ** m, 0)
+
+
+def _pow5_bracket(m: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo * 2**t <= 5**m <= hi * 2**t: binary powering
+    with both ends cut to w bits after each step, lo rounded down and hi
+    up.  Each cut widens hi/lo by under 2**(2-w) and each later squaring
+    doubles that, so hi/lo - 1 is about 8*m * 2**-w at most."""
+    lo = hi = 1
+    t = 0
+    for bit in bin(m)[2:]:
+        lo, hi, t = lo * lo, hi * hi, 2 * t
+        if bit == "1":
+            lo, hi = 5 * lo, 5 * hi
+        cut = max(0, hi.bit_length() - w)
+        lo, hi, t = lo >> cut, -(-hi >> cut), t + cut
+    return lo, hi, t
+
+
+def root_sci_string(n: int, k: int, v: int, sig: int = 6) -> str:
+    """Scientific-notation string of (n * 2**-k)**(1/v), truncated toward
+    zero.
+
+    n >= 0 and k >= 0 are integers; v >= 1. Digits are exact: the printed
+    mantissa is floor(x**(1/v) * 10**(sig-1-e)) for x = n * 2**-k and the
+    true decade e.
+    """
+    if n < 0:
+        raise ValueError("root_sci_string requires n >= 0")
+    if n == 0:
         return "0"
     if v < 1 or sig < 1:
         raise ValueError("need v >= 1 and sig >= 1")
     # decade e with 10**e <= x**(1/v) < 10**(e+1), i.e. 10**(v*e) <= x
     # (exact: v*e <= floor(log10 x) < v*(e+1))
-    e = floor_log10(x) // v
-    p, q = x.numerator, x.denominator
+    e = floor_log10(n, k) // v
     # floor(x**(1/v) * 10**(sig-1-e)) == introot(floor(x * 10**(v*(sig-1-e))), v)
-    shift = sig - 1 - e
-    if shift >= 0:
-        scaled = p * 10 ** (v * shift) // q
-    else:
-        scaled = p // (q * 10 ** (v * (-shift)))
-    digits, _ = introot(scaled, v)
+    digits, _ = introot(_floor_times_pow10(n, k, v * (sig - 1 - e)), v)
     s = str(digits)
     if len(s) != sig:
-        raise AssertionError(f"decade normalization failed for {x} (got {s!r})")
+        raise AssertionError(
+            f"decade normalization failed for {int_label(n)} * 2**-{k} (got {s!r})")
     mantissa = s[0] + ("." + s[1:] if sig > 1 else "")
     return f"{mantissa}e{e:+d}"
 
+
+# Burnikel and Ziegler, "Fast Recursive Division" (MPI-I-98-1-022, 1998),
+# as CPython 3.13's Lib/_pylong.py writes it, with its limit: up to this
+# many bits of quotient or divisor the builtin divmod is as fast (on
+# CPython 3.11.7 a 2n-by-n-bit division breaks even near n = 7,000).
+_DIV_LIMIT = 4000
+
+
+def int_divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) in O(n**1.58) time for n = bits(a) + bits(b).
+
+    CPython before 3.12 divides in quadratic time; the builtin is used
+    whenever the quotient or the divisor has at most _DIV_LIMIT bits.
+    """
+    if b.bit_length() <= _DIV_LIMIT or a.bit_length() - b.bit_length() <= _DIV_LIMIT:
+        return divmod(a, b)
+    if b < 0:
+        q, r = int_divmod(-a, -b)
+        return q, -r
+    if a < 0:
+        q, r = int_divmod(~a, b)
+        return ~q, b + ~r
+    return _divmod_pos(a, b)
+
+
+def _divmod_pos(a: int, b: int) -> tuple[int, int]:
+    """divmod for a >= 0 and b > 0: schoolbook division in base 2**bits(b),
+    each digit step a 2n-by-n-bit recursive division."""
+    n = b.bit_length()
+    r = 0
+    q_digits = []
+    for a_digit in reversed(_int2digits(a, n)):
+        q_digit, r = _div2n1n((r << n) + a_digit, b, n)
+        q_digits.append(q_digit)
+    q_digits.reverse()
+    return _digits2int(q_digits, n), r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < 2**n * b."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    half_n = n >> 1
+    mask = (1 << half_n) - 1
+    b1, b2 = b >> half_n, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half_n) & mask, b, b1, b2, half_n)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half_n)
+    if pad:
+        r >>= 1
+    return q1 << half_n | q2, r
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """divmod(a12 * 2**n + a3, b) for b = b1 * 2**n + b2: a helper of _div2n1n."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _int2digits(a: int, n: int) -> list:
+    """The base-2**n digits of a >= 0, least significant first, split by
+    halves so that the cost stays subquadratic; [] for a = 0."""
+    digits = [0] * ((a.bit_length() + n - 1) // n)
+
+    def inner(x, lo, hi):
+        if lo + 1 == hi:
+            digits[lo] = x
+            return
+        mid = (lo + hi) >> 1
+        shift = (mid - lo) * n
+        upper = x >> shift
+        inner(x ^ (upper << shift), lo, mid)
+        inner(upper, mid, hi)
+
+    if a:
+        inner(a, 0, len(digits))
+    return digits
+
+
+def _digits2int(digits: list, n: int) -> int:
+    """The inverse of _int2digits."""
+
+    def inner(lo, hi):
+        if lo + 1 == hi:
+            return digits[lo]
+        mid = (lo + hi) >> 1
+        return (inner(mid, hi) << (mid - lo) * n) + inner(lo, mid)
+
+    return inner(0, len(digits)) if digits else 0

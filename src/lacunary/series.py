@@ -28,7 +28,7 @@ from .errors import (
     NonIntegralExponent,
     PrecisionUnattainable,
 )
-from .intmath import MATERIALIZE_BITS, check_power, decimal_str, gated_pow
+from .intmath import MATERIALIZE_BITS, check_power, decimal_str, gated_pow, int_divmod
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -65,6 +65,8 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
+        self._twos = (base & -base).bit_length() - 1  # base = odd * 2**twos
+        self._odd = base >> self._twos
         self._partial: dict[int, Convergent] = {}
         self._dyadic: dict[int, tuple] = {}
 
@@ -74,6 +76,12 @@ class LacunarySeries:
     def _power(self, e: int) -> int:
         """base**e, refused when the result would be absurdly wide."""
         return gated_pow(self.base, e)
+
+    def _split_power(self, e: int) -> tuple[int, int]:
+        """(odd**e, twos*e), so that base**e = odd**e << twos*e; refused as
+        base**e by the size gate, exactly as `_power` refuses it."""
+        check_power(self.base, e, self.base.bit_length())
+        return self._odd ** e, self._twos * e
 
     def checked_exponent(self, n: int) -> int:
         """a_n, once the schedule has it and base**a_n passes the size gate:
@@ -123,7 +131,9 @@ class LacunarySeries:
 
         With b = bits(g) - 1, so that g**a >= 2**(a*b), lo sums (2**j) //
         g**a_m over the M = `terms` exponents with a_m*b <= k+2 (a_1
-        always) and falls short by under M units.  The tail is under
+        always) and falls short by under M units.  For g = o * 2**z with o
+        odd each term is (2**(j - a_m*z)) // o**a_m, a shift when o = 1,
+        and the size gate still judges g**a_m.  The tail is under
         g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a quarter unit if
         e*b >= k+3, so hi = lo + M + 1, j = k and the width is (M + c) *
         2**-k with c = 1.  Otherwise the schedule ended first (`end` is
@@ -150,8 +160,16 @@ class LacunarySeries:
         short = e * b < k + 3
         j = min(k, e * g.bit_length() + GUARD_BITS) if short else k
         check_power(2, j, 1)
-        tail = -(-(g << j) // ((g - 1) * self._power(e))) if short else 1
-        lo = sum((1 << j) // self._power(a) for a in exps if a * b <= j)
+        tail = 1
+        if short:  # ceil(g * 2**j / ((g-1) * g**e)); j - s >= -2 as e*b <= k+2
+            odd, s = self._split_power(e)
+            q, r = int_divmod(g << max(j - s, 0), (g - 1) * odd << max(s - j, 0))
+            tail = q + (r > 0)
+        lo = 0
+        for a in exps:
+            if a * b <= j:  # floor(2**j / g**a), and s <= a*b <= j
+                odd, s = self._split_power(a)
+                lo += int_divmod(1 << j - s, odd)[0]
         got = self._dyadic[k] = (lo, lo + len(exps) + tail, j, len(exps), end if short else None)
         return got
 

@@ -38,7 +38,7 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import gated_pow, int_label, root_sci_string, value_label
+from .intmath import gated_pow, int_divmod, int_label, root_sci_string, value_label
 from .interval import RationalInterval
 from .logenc import ln_int_interval, ln_of_interval
 from .powercmp import Ordering, PurePower, compare
@@ -64,7 +64,7 @@ def _product(l1, h1, l2, h2, j):
 def _quotient(l1, h1, l2, h2, j):
     # with l1*2**j = q*l2 + r, floor(l1*2**j / h2) = q + floor((r - q*(h2 - l2)) / h2)
     # and ceil(h1*2**j / l2) = q + ceil((r + (h1 - l1)*2**j) / l2)
-    q, r = divmod(l1 << j, l2)
+    q, r = int_divmod(l1 << j, l2)
     return q + (r - q * (h2 - l2)) // h2, q - (-(r + ((h1 - l1) << j)) // l2)
 
 
@@ -137,7 +137,7 @@ def _value_dyadic(c: CompositeNumber, k: int) -> tuple:
 def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
     """|value - p/q| in [lo, hi] * 2**-j, as `_value_dyadic` returns it."""
     lo, hi, j, terms, end = _value_dyadic(c, k)
-    f, r = divmod(conv.p << j, conv.q)  # f = floor(p/q * 2**j)
+    f, r = int_divmod(conv.p << j, conv.q)  # f = floor(p/q * 2**j)
     lo -= f + (r > 0)
     hi -= f
     if hi < 0:
@@ -282,7 +282,7 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
         if passed or stat.bit_length() > k * v:
             return RothCheck(
                 n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
-                margin=root_sci_string(Fraction(stat, 1 << k * v), v, _MARGIN_DIGITS),
+                margin=root_sci_string(stat, k * v, v, _MARGIN_DIGITS),
                 depth=depth, gap=RationalInterval.dyadic(lo, hi, k))
     raise InsufficientDepth(
         f"no working precision up to {k} bits separates the gap at n={n} from the threshold")

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from lacunary import intmath
 from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
+    _DIV_LIMIT,
     _LEAF_BITS,
     MATERIALIZE_BITS,
     STR_CUTOVER_BITS,
     check_power,
     decimal_str,
     floor_log10,
+    int_divmod,
     int_label,
     introot,
     primitive_power,
@@ -117,9 +119,35 @@ def test_primitive_power_known_values():
     assert primitive_power(10**6) == (10, 6)
 
 
-def _wide_fraction(b1: int, b2: int, seed: int) -> Fraction:
-    rnd = random.Random(seed)
-    return Fraction(rnd.getrandbits(b1) | 1 << (b1 - 1), rnd.getrandbits(b2) | 1 << (b2 - 1))
+# The margin as it was computed from a Fraction, kept as the reference
+# that the dyadic floor_log10 and root_sci_string must reproduce.
+def _reference_floor_log10(x: Fraction) -> int:
+    p, q = x.numerator, x.denominator
+    d = p.bit_length() - q.bit_length()
+    lo, hi = intmath._LOG10_2
+    e = (d - 1) * (lo if d >= 1 else hi) // intmath._LOG10_2_DEN
+    top = -(-(d + 1) * (hi if d >= -1 else lo) // intmath._LOG10_2_DEN) - 1
+    while e < top and (q * 10 ** (e + 1) <= p if e + 1 >= 0 else q <= p * 10 ** -(e + 1)):
+        e += 1
+    return e
+
+
+def _reference_root_sci_string(x: Fraction, v: int, sig: int) -> str:
+    if x == 0:
+        return "0"
+    e = _reference_floor_log10(x) // v
+    p, q = x.numerator, x.denominator
+    shift = sig - 1 - e
+    if shift >= 0:
+        scaled = p * 10 ** (v * shift) // q
+    else:
+        scaled = p // (q * 10 ** (v * (-shift)))
+    s = str(introot(scaled, v)[0])
+    return f"{s[0] + ('.' + s[1:] if sig > 1 else '')}e{e:+d}"
+
+
+def _wide_dyadic(b: int, k: int, seed: int) -> tuple[int, int]:
+    return random.Random(seed).getrandbits(b) | 1 << (b - 1), k
 
 
 _WIDE_BITS = st.integers(min_value=1, max_value=110_000)
@@ -127,50 +155,203 @@ _WIDE_BITS = st.integers(min_value=1, max_value=110_000)
 
 @settings(deadline=None)
 @given(st.one_of(
-    st.fractions(
-        min_value=Fraction(1, 10**30),
-        max_value=Fraction(10**30),
-        max_denominator=10**30,
-    ),
-    # numerator and denominator of up to 110,000 bits each
-    st.builds(_wide_fraction, _WIDE_BITS, _WIDE_BITS, st.integers(min_value=0, max_value=2**32)),
-    # 10**e and 10**e +- 1/q with 0 < 1/q < 10**e, up to 116,000 bits
-    st.builds(lambda e, m, s: Fraction(10) ** e + s * Fraction(1, m * 10 ** max(0, -e) + 1),
-              st.integers(min_value=-35_000, max_value=35_000),
-              st.integers(min_value=1, max_value=10**40), st.sampled_from((-1, 0, 1))),
+    st.tuples(st.integers(min_value=1, max_value=10**30), st.integers(min_value=0, max_value=200)),
+    # n of up to 110,000 bits on a grid of up to 2**-110,000
+    st.builds(_wide_dyadic, _WIDE_BITS, st.integers(min_value=0, max_value=110_000),
+              st.integers(min_value=0, max_value=2**32)),
+    # 10**e = 5**e << (k + e) and its neighbours, up to 116,000 bits
+    st.builds(lambda e, k, s: ((5 ** e << k + e) + s, k),
+              st.integers(min_value=0, max_value=35_000),
+              st.integers(min_value=1, max_value=1_000), st.sampled_from((-1, 0, 1))),
+    # floor(10**-m * 2**k) and the next integer
+    st.builds(lambda m, k, s: ((1 << k) // 10 ** m + s, k),
+              st.integers(min_value=1, max_value=300),
+              st.integers(min_value=1_000, max_value=2_000), st.sampled_from((0, 1))),
 ))
-def test_floor_log10_brackets(x):
-    with mock.patch.object(intmath, "_le_pow10", wraps=intmath._le_pow10) as compared:
-        e = floor_log10(x)
+def test_floor_log10_brackets(nk):
+    n, k = nk
+    with mock.patch.object(intmath, "_floor_times_pow10",
+                           wraps=intmath._floor_times_pow10) as compared:
+        e = floor_log10(n, k)
     assert compared.call_count <= 1
-    assert Fraction(10) ** e <= x < Fraction(10) ** (e + 1)
+    assert Fraction(10) ** e <= Fraction(n, 1 << k) < Fraction(10) ** (e + 1)
+
+
+def test_floor_log10_rejects_non_positive_and_negative_shift():
+    for n, k in ((0, 0), (-1, 3), (1, -1)):
+        with pytest.raises(ValueError):
+            floor_log10(n, k)
 
 
 def test_sci_string_examples():
     # the plain scientific form is root_sci_string with v = 1
-    assert root_sci_string(Fraction(1, 3), 1, 6) == "3.33333e-1"
-    assert root_sci_string(Fraction(2), 1, 4) == "2.000e+0"
-    assert root_sci_string(Fraction(1, 1000), 1, 3) == "1.00e-3"
-    assert root_sci_string(Fraction(0), 1, 5) == "0"
-    # truncation toward zero, never rounding up
-    assert root_sci_string(Fraction(999999999, 10**9), 1, 6) == "9.99999e-1"
+    assert root_sci_string(2, 0, 1, 4) == "2.000e+0"
+    assert root_sci_string(0, 0, 1, 5) == "0"
+    # truncation toward zero, never rounding up: 1 - 2**-40
+    assert root_sci_string((1 << 40) - 1, 40, 1, 6) == "9.99999e-1"
     with pytest.raises(ValueError):
-        root_sci_string(Fraction(-1, 8), 1, 3)
+        root_sci_string(-1, 3, 1, 3)
 
 
 def test_root_sci_string_examples():
-    assert root_sci_string(Fraction(2), 2, 6) == "1.41421e+0"
-    assert root_sci_string(Fraction(1, 4), 2, 5) == "5.0000e-1"
-    assert root_sci_string(Fraction(8), 3, 4) == "2.000e+0"
+    assert root_sci_string(2, 0, 2, 6) == "1.41421e+0"
+    assert root_sci_string(1, 2, 2, 5) == "5.0000e-1"
+    assert root_sci_string(8, 0, 3, 4) == "2.000e+0"
 
 
 @given(
     st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
     st.integers(min_value=1, max_value=5),
 )
-def test_root_sci_string_matches_float_oracle(p, q, v):
-    x = Fraction(p, q)
-    s = root_sci_string(x, v, 10)
-    true = math.pow(p / q, 1.0 / v)
+def test_root_sci_string_matches_float_oracle(n, k, v):
+    s = root_sci_string(n, k, v, 10)
+    true = math.pow(n / 2**k, 1.0 / v)
     assert abs(float(s) - true) <= 1e-8 * true
+
+
+def test_fraction_reference_examples():
+    # the non-dyadic examples pin the reference itself
+    assert _reference_root_sci_string(Fraction(1, 3), 1, 6) == "3.33333e-1"
+    assert _reference_root_sci_string(Fraction(1, 1000), 1, 3) == "1.00e-3"
+    assert _reference_root_sci_string(Fraction(999999999, 10**9), 1, 6) == "9.99999e-1"
+    # ... and grid points just below them print alike
+    for x, v, sig in ((Fraction(1, 3), 1, 6), (Fraction(999999999, 10**9), 1, 6)):
+        n = (x.numerator << 200) // x.denominator
+        assert root_sci_string(n, 200, v, sig) == _reference_root_sci_string(x, v, sig)
+    assert root_sci_string((1 << 200) // 1000 + 1, 200, 1, 3) == "1.00e-3"
+
+
+def _margin_grid():
+    """Exact decades 5**e << (k+e) and their neighbours, the tie 1 << k,
+    and dyadic values whose scale exponent s = v*(sig-1-e) falls below,
+    at and above k and below 0, for v in 1..4 and sig in 1..9."""
+    cases = []
+    for k in (0, 1, 7, 40, 100):
+        for e in (0, 1, 5, 30):
+            cases += [((5 ** e << k + e) + d, k) for d in (-1, 0, 1)]
+        cases += [(1 << k, k), ((1 << k) - 1, k), ((1 << k) + 1, k)]
+        cases += [(1, k), (3, k), ((1 << 3 * k) // 7, k), ((1 << k) // 1000 + 1, k)]
+    return [(n, k, v, sig) for n, k in cases if n > 0 for v in range(1, 5) for sig in range(1, 10)]
+
+
+def test_margin_grid_matches_the_fraction_reference():
+    seen = set()
+    for n, k, v, sig in _margin_grid():
+        x = Fraction(n, 1 << k)
+        assert floor_log10(n, k) == _reference_floor_log10(x)
+        assert root_sci_string(n, k, v, sig) == _reference_root_sci_string(x, v, sig)
+        s = v * (sig - 1 - _reference_floor_log10(x) // v)
+        seen.add("negative" if s < 0 else "below" if s < k else "at" if s == k else "above")
+    assert seen == {"negative", "below", "at", "above"}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.builds(_wide_dyadic, st.integers(min_value=1, max_value=100_000),
+                 st.integers(min_value=0, max_value=100_000),
+                 st.integers(min_value=0, max_value=2**32)),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=9))
+def test_margin_matches_the_fraction_reference(nk, v, sig):
+    n, k = nk
+    x = Fraction(n, 1 << k)
+    assert floor_log10(n, k) == _reference_floor_log10(x)
+    assert root_sci_string(n, k, v, sig) == _reference_root_sci_string(x, v, sig)
+
+
+@given(st.integers(min_value=0, max_value=50_000), st.integers(min_value=8, max_value=200))
+def test_pow5_bracket_holds_and_is_narrow(m, w):
+    w += m.bit_length()
+    lo, hi, t = intmath._pow5_bracket(m, w)
+    assert lo << t <= 5 ** m <= hi << t
+    assert hi.bit_length() <= w or t == 0
+    assert (hi - lo) * 2 ** w <= 9 * m * lo
+
+
+def _exact_floor_times_pow10(n, k, s):
+    return math.floor(Fraction(n, 1 << k) * Fraction(10) ** s)
+
+
+# n * 2**-k * 10**s within 2**-900 of an integer, above or below it, where
+# the bracket of 5**|s| cannot decide and 5**|s| is built
+_NEAR_INTEGERS = [((1 << 2000) // 10 ** 300 + 1, 2000, 300),
+                  ((1 << 2000) // 10 ** 300, 2000, 300),
+                  ((5 ** 300 << 2300) - 1, 2000, -300),
+                  ((5 ** 300 << 2300) + 1, 2000, -300)]
+
+
+@pytest.mark.parametrize("n, k, s", _NEAR_INTEGERS)
+def test_floor_times_pow10_builds_the_power_near_an_integer(n, k, s):
+    w = max(0, n.bit_length() - k + s * 3322 // 1000) + 2 * abs(s).bit_length() + 64
+    lo, hi, t = intmath._pow5_bracket(abs(s), w)
+    # the floors with lo * 2**t and hi * 2**t in place of 5**|s| differ
+    x = Fraction(n, 1 << k) * Fraction(2) ** s
+    ends = {math.floor(x * (p << t) if s >= 0 else x / (p << t)) for p in (lo, hi)}
+    assert len(ends) == 2
+    assert intmath._floor_times_pow10(n, k, s) == _exact_floor_times_pow10(n, k, s)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=0, max_value=1 << 3000), st.integers(min_value=0, max_value=3000),
+       st.integers(min_value=-1000, max_value=1000))
+def test_floor_times_pow10_matches_the_exact_product(n, k, s):
+    assert intmath._floor_times_pow10(n, k, s) == _exact_floor_times_pow10(n, k, s)
+
+
+def _sparse_dyadic_divisor(j: int, exps: list, c: int) -> int:
+    """sum of 2**(j - a) over a in exps, plus c: a base-2 enclosure end."""
+    return sum(1 << j - a for a in exps) + c
+
+
+_DIVMOD_CASES = [
+    # quotient and divisor at _DIV_LIMIT +- 1 bits
+    *(((1 << qw + dw) - 1, (1 << dw - 1) + 1) for qw in (_DIV_LIMIT - 1, _DIV_LIMIT,
+                                                        _DIV_LIMIT + 1, _DIV_LIMIT + 2)
+      for dw in (_DIV_LIMIT - 1, _DIV_LIMIT, _DIV_LIMIT + 1, _DIV_LIMIT + 2)),
+    # far above the limit, with odd divisor widths (the pad path)
+    (7 ** 60_000, 3 ** 19_999), (1 << 91_420 | 12345, 3 ** 28_843 | 1),
+    ((1 << 200_001) - 1, (1 << 40_001) - 3),
+    # a = b * 2**n - 1 reaches the a12 >> n == b1 branch
+    ((3 ** 20_001 << 31_701) - 1, 3 ** 20_001),
+    ((((1 << 12_345) - 1) << 12_345) - 1, (1 << 12_345) - 1),
+    # a < b, a = 0 and exact multiples
+    (3 ** 9_000, 3 ** 9_001), (0, 3 ** 9_001), (3 ** 9_001 * 5 ** 9_000, 3 ** 9_001),
+    (3 ** 9_001 << 50_000, 3 ** 9_001),
+    # sparse divisors shaped like base-2 enclosure ends
+    (1 << 2 * 131_072, _sparse_dyadic_divisor(131_072, [2, 4, 16, 256, 65_536], 6)),
+    (1 << 91_420, _sparse_dyadic_divisor(65_600, [2, 4, 16, 256, 65_536], 1)),
+]
+
+
+@pytest.mark.parametrize("a, b", _DIVMOD_CASES, ids=[
+    f"{a.bit_length()}-by-{b.bit_length()}-bit" for a, b in _DIVMOD_CASES])
+def test_int_divmod_examples(a, b):
+    for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        assert int_divmod(sa * a, sb * b) == divmod(sa * a, sb * b)
+
+
+def _operand(width: int, seed: int, sparse: bool) -> int:
+    rng = random.Random(seed)
+    if sparse:
+        return _sparse_dyadic_divisor(width, rng.sample(range(1, width + 1), min(5, width)),
+                                      rng.randint(1, 1 << 8))
+    return rng.getrandbits(width) | 1 << (width - 1)
+
+
+_WIDTHS = st.one_of(st.integers(1, 3 * _DIV_LIMIT),
+                    st.integers(_DIV_LIMIT - 2, _DIV_LIMIT + 2),
+                    st.integers(3 * _DIV_LIMIT, 40 * _DIV_LIMIT))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.builds(_operand, _WIDTHS, st.integers(0, 2**32), st.booleans()),
+       st.builds(_operand, _WIDTHS, st.integers(0, 2**32), st.booleans()),
+       st.integers(0, 40 * _DIV_LIMIT), st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+def test_int_divmod_matches_divmod(a, b, shift, sa, sb):
+    a = sa * (a << shift)
+    b = sb * b
+    assert int_divmod(a, b) == divmod(a, b)
+
+
+def test_int_divmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        int_divmod(1 << 20_000, 0)

@@ -57,6 +57,18 @@ PINS = [
     (("witness", "--g1", "7", "--g2", "5", "--op", "quotient"),
      "8ea1850658019067baaeb0f8d88bd64a09b4aabe7247a8e966e594bfc85a49ac",
      EMPTY, 0),
+    (("witness", "--g1", "6", "--g2", "4", "--op", "quotient"),
+     "718ba9fe4c9c3003a8ae5eec9d352992085b343ba182f0c614a9aaa9802c20e1",
+     EMPTY, 0),
+    (("witness", "--g1", "12", "--g2", "6", "--op", "product"),
+     "5d0336b16164697c2ac5fb1e70797837f68f3e18b963bef872b57056732ef8ee",
+     EMPTY, 0),
+    (("witness", "--d", "7/2", "--op", "product"),
+     "37e54e3c1afe00e0e17060bca114afbc9595adb9207590d9be1809c3e96ee8ad",
+     EMPTY, 0),
+    (("digits", "--g1", "6", "--g2", "4", "--op", "quotient", "--digits", "20000"),
+     "60d01d739a89f9be9b9502b139f6507abedbf75c6ff033bc59ee62e43806ac49",
+     EMPTY, 0),
     (("digits", "--budget-bits", "9", "--digits", "400"),
      EMPTY,
      "43b48182da55b1da5b8377c7451b0070dfb5c75c27f7a0e88071333949bd5048", 3),

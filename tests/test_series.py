@@ -20,6 +20,7 @@ from lacunary.series import (
     deepen,
     deepest_feasible,
     digits_from_interval,
+    exponent_after,
     format_fixed,
 )
 
@@ -278,6 +279,40 @@ def test_dyadic_enclosure_contains_the_exact_interval(base):
             else:
                 assert j <= k and e * b <= k + 2
                 assert hi - lo == terms - (-(base << j) // step)
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_dyadic_ends_are_the_full_width_quotients(base):
+    # base = odd * 2**z is divided out as a shift and a division by odd**a;
+    # the ends are the integers that dividing by base**a itself gives, also
+    # at a rounded-up tail whose shift z*e passes j (a power-of-two base at
+    # the rule's edge, e*b = k+1 or k+2)
+    b = base.bit_length() - 1
+    z = (base & -base).bit_length() - 1
+    shift_past_j = False
+    for budget, e_end in ((10, 512), (20, 131072)):  # e_end = 2*a_M past the budget
+        s = make_series(base, budget_bits=budget)
+        for k in DYADIC_PRECISIONS + (e_end * b - 2, e_end * b - 1):
+            lo, hi, j, terms, end = s.dyadic(k)
+            exps = [s.schedule.exponent(m) for m in range(1, terms + 1)]
+            assert lo == sum((1 << j) // base ** a for a in exps if a * b <= j)
+            tail = 1
+            if end is not None:
+                e = exponent_after(s.schedule, terms)
+                tail = -(-(base << j) // ((base - 1) * base ** e))
+                shift_past_j |= z * e > j
+            assert hi - lo == terms + tail
+    assert shift_past_j == (base & (base - 1) == 0)
+
+
+def test_dyadic_size_gate_judges_the_whole_base():
+    # 3**(2**24) is under the cap but 6**(2**24) is not: the term is refused
+    # as 6**a before its odd part 3**a is built
+    s = LacunarySeries(6, PowerSchedule(1 << 24, Fraction(1), budget_bits=25))
+    with pytest.raises(ExponentBudgetExceeded) as info:
+        s.dyadic(1 << 25)
+    assert str(info.value) == ("6**16777216 would need about 50331648 bits, over the "
+                               "33554432-bit materialization cap")
 
 
 @pytest.mark.parametrize("base", (2, 3, 7))

@@ -294,14 +294,19 @@ def test_composite_digits_known_values():
         composite_digits(build_example(Op.SUM), 0)
 
 
-ENDS = st.integers(1, 1 << 4100)
+# ends and precisions reach past intmath._DIV_LIMIT bits, so the quotient's
+# divmod and the gap's floor take the Burnikel-Ziegler kernel
+ENDS = st.integers(1, 1 << 20_000)
 WIDTHS = st.integers(0, 1 << 8)
+PRECISIONS = st.integers(0, 20_000)
 
 
 @settings(deadline=None, max_examples=300)
-@given(l1=ENDS, w1=WIDTHS, l2=ENDS, w2=WIDTHS, j=st.integers(0, 4000))
+@given(l1=ENDS, w1=WIDTHS, l2=ENDS, w2=WIDTHS, j=PRECISIONS)
 @example(l1=(1 << 4000) // 3, w1=0, l2=(1 << 4000) // 5, w2=7, j=4000)
 @example(l1=(1 << 4000) // 3, w1=5, l2=(1 << 4000) // 5, w2=0, j=4000)
+@example(l1=(1 << 19_999) // 3, w1=3, l2=(1 << 12_001) // 5, w2=9, j=20_000)
+@example(l1=(1 << 16_000) - 1, w1=1, l2=(1 << 16_000) // 7, w2=2, j=16_001)
 def test_product_and_quotient_ends_match_two_full_operations(l1, w1, l2, w2, j):
     # each op derives one end from the other through the widths; the ends
     # are the integers that two full-width operations give
@@ -312,9 +317,11 @@ def test_product_and_quotient_ends_match_two_full_operations(l1, w1, l2, w2, j):
 
 
 @settings(deadline=None, max_examples=300)
-@given(lo=st.integers(-(1 << 4100), 1 << 4100), width=WIDTHS,
-       p=st.integers(-(1 << 4100), 1 << 4100), q=ENDS, j=st.integers(0, 4000))
+@given(lo=st.integers(-(1 << 20_000), 1 << 20_000), width=WIDTHS,
+       p=st.integers(-(1 << 20_000), 1 << 20_000), q=ENDS, j=PRECISIONS)
 @example(lo=0, width=0, p=6, q=3, j=10)
+@example(lo=1 << 15_000, width=4, p=(1 << 14_000) // 3, q=(1 << 14_001) // 7, j=20_000)
+@example(lo=-(1 << 15_000), width=4, p=-(1 << 14_000) // 3, q=(1 << 14_001) // 7, j=20_000)
 def test_gap_ends_match_separate_floor_and_ceiling(lo, width, p, q, j):
     hi = lo + width
     up, down = lo - -((-p << j) // q), hi - ((p << j) // q)
