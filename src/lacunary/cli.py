@@ -13,11 +13,11 @@ error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -36,27 +36,9 @@ from .errors import (
 )
 from .intmath import decimal_str, int_label, value_label
 from .measure import AlgebraicTarget, approximation_measure, find_n1
-from .schedule import GrowthWindow, PowerSchedule, validate_growth
+from .schedule import DEFAULT_BUDGET_BITS, GrowthWindow, PowerSchedule, validate_growth
 from .series import LacunarySeries
 from .witness import CompositeNumber, Op, certify, composite_convergent, composite_digits
-
-
-@dataclass
-class RunConfig:
-    g1: int = 3
-    g2: int = 2
-    a1: int = 2
-    beta: Fraction = Fraction(1)
-    op: Op = Op.SUM
-    d: Fraction = Fraction(3)
-    n_from: int = 1
-    n_to: int = 4
-    budget_bits: int = 20
-    digits: int = 10
-    alpha: Fraction = Fraction(3, 2)
-    k: Fraction = Fraction(2)
-    height: int = 1
-    out: Optional[str] = None
 
 
 # Longest integer or rational text converted: int() and Fraction() take
@@ -121,28 +103,37 @@ def _parse_str(field: str, value) -> str:
     return value
 
 
-_FIELD_PARSERS = {
-    "g1": _parse_int,
-    "g2": _parse_int,
-    "a1": _parse_int,
-    "beta": _parse_rational,
-    "op": _parse_op,
-    "d": _parse_rational,
-    "n_from": _parse_int,
-    "n_to": _parse_int,
-    "budget_bits": _parse_int,
-    "digits": _parse_int,
-    "alpha": _parse_rational,
-    "k": _parse_rational,
-    "height": _parse_int,
-    "out": _parse_str,
-}
+def _key(default, parse, metavar: str, text: str, command: Optional[str] = None):
+    """A configuration key: its default, the parser of its config value and
+    flag, and the flag's text; the flag is on `command` alone, or on every
+    subcommand when that is None."""
+    return dataclasses.field(default=default, metadata={
+        "parse": parse, "metavar": metavar, "help": text, "command": command})
 
 
-def _apply(cfg: RunConfig, key: str, value) -> None:
-    if key not in _FIELD_PARSERS:
-        raise InvalidConfigError(key, "unknown configuration field")
-    setattr(cfg, key, _FIELD_PARSERS[key](key, value))
+@dataclasses.dataclass
+class RunConfig:
+    """Every configuration key, stated once.  Config values and flags are
+    applied in this order, and the flags are listed in it."""
+
+    g1: int = _key(3, _parse_int, "INT", "first base (must exceed g2)")
+    g2: int = _key(2, _parse_int, "INT", "second base (>= 2)")
+    a1: int = _key(2, _parse_int, "INT", "first exponent (>= 2)")
+    beta: Fraction = _key(Fraction(1), _parse_rational, "U/V",
+                          "growth exponent, a positive rational")
+    op: Op = _key(Op.SUM, _parse_op, "OP", "sum | difference | product | quotient")
+    d: Fraction = _key(Fraction(3), _parse_rational, "U/V",
+                       "target exponent (witness) or degree (measure)")
+    n_from: int = _key(1, _parse_int, "INT", "first index")
+    n_to: int = _key(4, _parse_int, "INT", "last index")
+    budget_bits: int = _key(DEFAULT_BUDGET_BITS, _parse_int, "INT",
+                            "exponent budget: a_n <= 2**bits")
+    digits: int = _key(10, _parse_int, "INT", "decimal places (default 10)", "digits")
+    alpha: Fraction = _key(Fraction(3, 2), _parse_rational, "U/V",
+                           "window exponent alpha > 1", "validate")
+    k: Fraction = _key(Fraction(2), _parse_rational, "U/V", "window multiplier k > 1", "validate")
+    height: int = _key(1, _parse_int, "INT", "naive height H (default 1)", "measure")
+    out: Optional[str] = _key(None, _parse_str, "PATH", "write output here instead of stdout")
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -161,8 +152,15 @@ def _validate(cfg: RunConfig) -> None:
         raise InvalidConfigError("height", f"must be >= 1, got {int_label(cfg.height)}")
 
 
+@functools.cache
+def _parsers() -> dict:
+    """Each configuration key's parser, in RunConfig's field order."""
+    return {f.name: f.metadata["parse"] for f in dataclasses.fields(RunConfig)}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    parsers = _parsers()
     path = getattr(args, "config", None)
     if path:
         try:
@@ -173,11 +171,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise InvalidConfigError("config", "top level must be a JSON object")
         for key, value in raw.items():
-            _apply(cfg, key, value)
-    for key in _FIELD_PARSERS:
+            if key not in parsers:
+                raise InvalidConfigError(key, "unknown configuration field")
+            setattr(cfg, key, parsers[key](key, value))
+    for key, parse in parsers.items():
         value = getattr(args, key, None)
         if value is not None:
-            _apply(cfg, key, value)
+            setattr(cfg, key, parse(key, value))
     _validate(cfg)
     return cfg
 
@@ -264,12 +264,20 @@ def cmd_validate(cfg: RunConfig) -> str:
 
 
 _COMMANDS = {
-    "digits": cmd_digits,
-    "convergents": cmd_convergents,
-    "witness": cmd_witness,
-    "measure": cmd_measure,
-    "validate": cmd_validate,
+    "digits": (cmd_digits, "certified decimal expansions of both series and the composite"),
+    "convergents": (cmd_convergents, "exact reduced convergents over the index range"),
+    "witness": (cmd_witness, "emit the canonical JSON witness certificate"),
+    "measure": (cmd_measure, "approximation-measure bound and bracketing evidence"),
+    "validate": (cmd_validate, "check the schedule against a growth window"),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: Optional[str]) -> None:
+    """The flags of the RunConfig keys whose flag is on `command`."""
+    for f in dataclasses.fields(RunConfig):
+        if f.metadata["command"] == command:
+            parser.add_argument("--" + f.name.replace("_", "-"),
+                                metavar=f.metadata["metavar"], help=f.metadata["help"])
 
 
 @functools.cache
@@ -278,16 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     so every `main` call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
-    common.add_argument("--g1", metavar="INT", help="first base (must exceed g2)")
-    common.add_argument("--g2", metavar="INT", help="second base (>= 2)")
-    common.add_argument("--a1", metavar="INT", help="first exponent (>= 2)")
-    common.add_argument("--beta", metavar="U/V", help="growth exponent, a positive rational")
-    common.add_argument("--op", metavar="OP", help="sum | difference | product | quotient")
-    common.add_argument("--d", metavar="U/V", help="target exponent (witness) or degree (measure)")
-    common.add_argument("--n-from", metavar="INT", help="first index")
-    common.add_argument("--n-to", metavar="INT", help="last index")
-    common.add_argument("--budget-bits", metavar="INT", help="exponent budget: a_n <= 2**bits")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    _add_flags(common, None)
 
     parser = argparse.ArgumentParser(
         prog="lacunary",
@@ -296,21 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and approximation measures.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("digits", parents=[common],
-                       help="certified decimal expansions of both series and the composite")
-    p.add_argument("--digits", metavar="INT", help="decimal places (default 10)")
-    sub.add_parser("convergents", parents=[common],
-                   help="exact reduced convergents over the index range")
-    sub.add_parser("witness", parents=[common],
-                   help="emit the canonical JSON witness certificate")
-    p = sub.add_parser("measure", parents=[common],
-                       help="approximation-measure bound and bracketing evidence")
-    p.add_argument("--height", metavar="INT", help="naive height H (default 1)")
-    p = sub.add_parser("validate", parents=[common],
-                       help="check the schedule against a growth window")
-    p.add_argument("--alpha", metavar="U/V", help="window exponent alpha > 1")
-    p.add_argument("--k", metavar="U/V", help="window multiplier k > 1")
+    for name, (_, text) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, parents=[common], help=text), name)
     return parser
 
 
@@ -329,7 +315,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        _emit(_COMMANDS[args.command](cfg), cfg.out)
+        _emit(_COMMANDS[args.command][0](cfg), cfg.out)
     except (InvalidConfigError, NonIntegralExponent) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ Partial sums are materialized on demand: q_n has Theta(a_n) digits, so
 construction of g**e passes the intmath size gate first.  Enclosures are
 dyadic: integers [lo, hi] on the 2**-k grid for a working precision k
 picked from the question, with the tail bounded by bit lengths.  The
-citable tail pair is (1/g**a_{n+1}, 2/g**a_{n+1}); the certified bound
-is g/(g-1) * g**(-a_{n+1}).
+citable tail pair is (1/g**a_{n+1}, 2/g**a_{n+1}); `dyadic` bounds the
+tail by g/(g-1) * g**(-a_{n+1}).
 """
 
 from __future__ import annotations
@@ -73,13 +73,9 @@ class LacunarySeries:
     def __repr__(self) -> str:
         return f"LacunarySeries(base={self.base}, schedule={self.schedule!r})"
 
-    def _power(self, e: int) -> int:
-        """base**e, refused when the result would be absurdly wide."""
-        return gated_pow(self.base, e)
-
     def _split_power(self, e: int) -> tuple[int, int]:
         """(odd**e, twos*e), so that base**e = odd**e << twos*e; refused as
-        base**e by the size gate, exactly as `_power` refuses it."""
+        base**e by the size gate, exactly as `gated_pow` refuses it."""
         check_power(self.base, e, self.base.bit_length())
         return self._odd ** e, self._twos * e
 
@@ -111,15 +107,8 @@ class LacunarySeries:
 
     def tail_sandwich(self, n: int) -> tuple[Fraction, Fraction]:
         """The citable two-sided tail bracket (1/g**a_{n+1}, 2/g**a_{n+1})."""
-        step = self._power(self.schedule.exponent(n + 1))
+        step = gated_pow(self.base, self.schedule.exponent(n + 1))
         return Fraction(1, step), Fraction(2, step)
-
-    def rigorous_tail_upper(self, n: int) -> Fraction:
-        """Certified bound g/(g-1) * g**(-a_{n+1}) on the tail past n terms:
-        exponents increase by at least 1, so the tail is dominated by the
-        geometric series with ratio 1/g."""
-        step = self._power(self.schedule.exponent(n + 1))
-        return Fraction(self.base, (self.base - 1) * step)
 
     def depth_bits(self, m: int) -> int:
         """The precision at which `dyadic` sums exactly m terms, as fine as

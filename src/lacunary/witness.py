@@ -171,8 +171,7 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     (2 + 4*g2**a1) * g2**a1 / g2**a_{n+1}, using the exact lower bound
     theta_{n,2} > g2**(-a1).
     """
-    a_next = c.schedule.exponent(n + 1)
-    step = c.s2._power(a_next)
+    step = gated_pow(c.g2, c.schedule.exponent(n + 1))
     if c.op in (Op.SUM, Op.DIFFERENCE):
         return Fraction(4, step)
     if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
@@ -181,12 +180,11 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     # quotient
     if n < 2:
         raise InvalidConfigError("n", "quotient gap bound requires n >= 2")
-    a1 = c.schedule.exponent(1)
-    floor2 = Fraction(1, c.s2._power(a1))
+    inv_up = gated_pow(c.g2, c.schedule.exponent(1))
+    floor2 = Fraction(1, inv_up)  # theta2 > g2**(-a1), so 1/theta2 < inv_up
     if not c.s2.partial_sum(n).fraction > floor2:
         raise InternalError(
             f"partial sum of the second series at n={n} is not above {floor2}")
-    inv_up = c.s2._power(a1)  # 1/theta2 < g2**a1 since theta2 > g2**(-a1)
     return Fraction((2 + 4 * inv_up) * inv_up, step)
 
 
@@ -357,26 +355,20 @@ class WitnessCertificate:
     verdict: str
 
 
-def certify(c: CompositeNumber, d, n_range: Tuple[int, int],
-            d_eff=None) -> WitnessCertificate:
+def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertificate:
     """Assemble the full certificate over n in [n_range[0], n_range[1]].
 
-    d_eff defaults to (2+d)/2, strictly between 2 and d, absorbing the
-    constant factors of the gap bounds.  Component failures are embedded
-    per index; other indices still complete.  Once a_n itself does not
-    exist, every later index would repeat the error, so the record for n
-    carries a notice and the later ones are omitted.  An empty range
-    yields a certificate with a config echo and no records.
+    The strict approximation test runs at d_eff = (2+d)/2, strictly between
+    2 and d, absorbing the constant factors of the gap bounds.  Component
+    failures are embedded per index; other indices still complete.  Once
+    a_n itself does not exist, every later index would repeat the error, so
+    the record for n carries a notice and the later ones are omitted.  An
+    empty range yields a certificate with a config echo and no records.
     """
     d = Fraction(d)
     if d <= 2:
         raise InvalidConfigError("d", f"exponent target must exceed 2, got {value_label(d)}")
-    if d_eff is None:
-        d_eff = (2 + d) / 2
-    else:
-        d_eff = Fraction(d_eff)
-        if d_eff <= 2:
-            raise InvalidConfigError("d_eff", f"effective exponent must exceed 2, got {d_eff}")
+    d_eff = (2 + d) / 2
     n_from, n_to = n_range
     if not isinstance(n_from, int) or not isinstance(n_to, int) or n_from < 1:
         raise InvalidConfigError("n_range", f"need integer bounds with lower >= 1, got {n_range!r}")

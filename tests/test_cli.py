@@ -191,6 +191,18 @@ def test_config_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "digits", "--config", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_config_file_with_two_bad_flags_refuses_the_first_key(tmp_path, capsys):
+    # flags apply in RunConfig's field order, after the file: g1 before
+    # beta, whatever their order on the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g1": 5, "op": "product", "beta": "1/2"}))
+    assert run_cli(capsys, "witness", "--config", str(cfg), "--beta", "y", "--g1", "x") == (
+        2, "", "config error: g1: expected an integer, got 'x'\n")
+    cfg.write_text(json.dumps({"height": "x", "g1": 5}))
+    assert run_cli(capsys, "measure", "--config", str(cfg), "--g1", "y", "--d", "z") == (
+        2, "", "config error: height: expected an integer, got 'x'\n")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "digits.txt"
     code, out, _ = run_cli(capsys, "digits", "--out", str(path))

@@ -94,3 +94,25 @@ def test_output_bytes_are_pinned(capsys, argv, stdout_sha, stderr_sha, code):
     got = main(list(argv))
     out, err = capsys.readouterr()
     assert (sha256(out), sha256(err), got) == (stdout_sha, stderr_sha, code)
+
+
+# sha256 of `lacunary [COMMAND] --help` at 80 columns: the flags are built
+# from the RunConfig fields, and their listing must not drift.
+HELP_PINS = [
+    ((), "444a114813c0d2a991d54dec310adc4ca4411b802c5520cc9f23d58652924110"),
+    (("digits",), "428b598219e4e0d1affb927d2ff0f49768955923b0cc23dcb1c2b8c74c826085"),
+    (("convergents",), "b7a30da03fbea13e47775162a01c5b512e2cdf5d7668d2b050de44dcf933f0b1"),
+    (("witness",), "bc19c7e352f975210369c1eeec9b81af68e59fdf29a89e51dc2bdafd465d20ea"),
+    (("measure",), "bb96be350a72d54cd80aefc23efa2c90ba402b5d647405aab70b1b886937cfe7"),
+    (("validate",), "916d83f03621c80e8f7a5effe05ef568e145cbdcba570a24024f5646fc59a069"),
+]
+
+
+@pytest.mark.parametrize("command, stdout_sha", HELP_PINS,
+                         ids=[" ".join(p[0]) or "top" for p in HELP_PINS])
+def test_help_bytes_are_pinned(monkeypatch, capsys, command, stdout_sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    out, err = capsys.readouterr()
+    assert (sha256(out), err, info.value.code) == (stdout_sha, "", 0)

@@ -12,6 +12,7 @@ from lacunary.errors import (
     PrecisionUnattainable,
 )
 from lacunary.interval import RationalInterval
+from lacunary.intmath import gated_pow
 from lacunary.schedule import PowerSchedule
 from lacunary.series import (
     Convergent,
@@ -72,9 +73,7 @@ def test_partial_sum_matches_direct_summation():
 def test_tail_sandwich_and_rigorous_bound():
     s2 = make_series(2)
     assert s2.tail_sandwich(1) == (Fraction(1, 16), Fraction(1, 8))
-    assert s2.rigorous_tail_upper(1) == Fraction(1, 8)  # g/(g-1) = 2 here
     s3 = make_series(3)
-    assert s3.rigorous_tail_upper(1) == Fraction(1, 54)
     lo, hi = s3.tail_sandwich(1)
     assert lo == Fraction(1, 81) and hi == Fraction(2, 81)
 
@@ -89,7 +88,8 @@ def test_sandwich_brackets_true_tail():
             # theta >= iv.lo > sn + lower and theta <= iv.hi < sn + upper
             assert iv.lo - sn > lower
             assert iv.hi - sn < upper
-            rig = s.rigorous_tail_upper(n)
+            # the certified bound g/(g-1) * g**(-a_{n+1})
+            rig = Fraction(g, (g - 1) * g ** s.schedule.exponent(n + 1))
             assert iv.hi - sn <= rig
             if g == 2:
                 assert rig == upper  # factor g/(g-1) degenerates to 2
@@ -188,7 +188,7 @@ def test_materialization_cap_blocks_wide_powers():
 def test_power_refusal_text_is_pinned():
     # certificates and stderr quote this text; it must not drift
     with pytest.raises(ExponentBudgetExceeded) as info:
-        make_series(3)._power((1 << 24) + 1)
+        gated_pow(3, (1 << 24) + 1)
     assert str(info.value) == ("3**16777217 would need about 33554434 bits, over the "
                                "33554432-bit materialization cap")
 
@@ -197,16 +197,13 @@ def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
     # The 2*a_n fallback lives in the dyadic enclosure and builds no power.
     # At 20 bits a_6 is over the exponent budget: the tail past a_5 = 65536
     # is bounded from 2*a_5 = 131072, the enclosure stops narrowing there
-    # (j = 131072*bits(2) + 64) and reports the index the schedule refused;
-    # the Fraction bound needs a_6 itself.
+    # (j = 131072*bits(2) + 64) and reports the index the schedule refused.
     s = make_series(2, budget_bits=20)
     lo, hi, j, terms, end = s.dyadic(1 << 20)
     assert end == 6 and terms == 5
     with pytest.raises(ExponentBudgetExceeded):
         s.schedule.exponent(end)
     assert j == 2 * 131072 + 64 and hi - lo == 5 + (1 << (j - 131071))
-    with pytest.raises(ExponentBudgetExceeded):
-        s.rigorous_tail_upper(5)
     # At 33 bits a_6 = 2**32 is in the budget: its bit length bounds the
     # tail at any precision, and 2**(2**32) is never built.
     lo, hi, j, terms, end = make_series(2, budget_bits=33).dyadic(1 << 20)

@@ -241,7 +241,7 @@ def test_empirical_exponent_needs_positive_gap():
 
 
 def test_certify_example_sum():
-    cert = certify(build_example(Op.SUM), 3, (1, 4), d_eff=Fraction(5, 2))
+    cert = certify(build_example(Op.SUM), 3, (1, 4))
     assert cert.n0 == 3 and cert.n0_error is None
     assert [r.n for r in cert.records] == [1, 2, 3, 4]
     assert all(r.error is None for r in cert.records)
@@ -264,7 +264,7 @@ def test_certify_empty_range():
 
 
 def test_certify_quotient_notice_and_forms():
-    cert = certify(build_example(Op.QUOTIENT), 3, (1, 3), d_eff=Fraction(5, 2))
+    cert = certify(build_example(Op.QUOTIENT), 3, (1, 3))
     first = cert.records[0]
     assert first.notice is not None and "n=2" in first.notice
     assert first.convergent == Convergent(1, 4, 9)  # (1/9)/(1/4)
@@ -275,8 +275,7 @@ def test_certify_quotient_notice_and_forms():
 
 
 def test_certify_embeds_component_errors():
-    cert = certify(build_example(Op.SUM, budget_bits=10), 3, (1, 4),
-                   d_eff=Fraction(5, 2))
+    cert = certify(build_example(Op.SUM, budget_bits=10), 3, (1, 4))
     assert cert.n0_error is not None and "ExponentBudgetExceeded" in cert.n0_error
     errs = [r for r in cert.records if r.error is not None]
     assert [r.n for r in errs] == [4]
