@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .interval import RationalInterval
-from .intmath import decimal_str
+from .intmath import decimal_str, lowest_dyadic
 from .witness import IndexRecord, WitnessCertificate
 
 SCHEMA_VERSION = "1"
@@ -33,8 +33,18 @@ def rat(x) -> dict:
     return {"num": decimal_str(f.numerator), "den": decimal_str(f.denominator)}
 
 
+def dyadic(n: int, k: int) -> dict:
+    """rat(n * 2**-k), reduced by `lowest_dyadic` instead of a gcd."""
+    m, j = lowest_dyadic(n, k)
+    return {"num": decimal_str(m), "den": decimal_str(1 << j)}
+
+
 def interval(iv: RationalInterval) -> dict:
     return {"lo": rat(iv.lo), "hi": rat(iv.hi)}
+
+
+def _dyadic_interval(lo: int, hi: int, k: int) -> dict:
+    return {"lo": dyadic(lo, k), "hi": dyadic(hi, k)}
 
 
 def certificate_document(cert: WitnessCertificate) -> dict:
@@ -71,7 +81,7 @@ def _record_entry(r: IndexRecord) -> dict:
         "convergent": None if r.convergent is None
         else {"p": decimal_str(r.convergent.p), "q": decimal_str(r.convergent.q)},
         "gap_bound": None if r.gap_bound is None else rat(r.gap_bound),
-        "gap": None if r.gap is None else interval(r.gap),
+        "gap": None if r.roth is None else _dyadic_interval(*r.roth.gap),
         "bound_dominates": r.bound_dominates,
         "roth": None if r.roth is None else {
             "d_eff": rat(r.roth.d_eff),

@@ -24,6 +24,7 @@ __all__ = [
     "introot",
     "primitive_power",
     "floor_log10",
+    "lowest_dyadic",
     "root_sci_string",
 ]
 
@@ -171,6 +172,13 @@ def primitive_power(b: int) -> tuple[int, int]:
     return b, 1
 
 
+def lowest_dyadic(n: int, k: int) -> tuple[int, int]:
+    """n * 2**-k in lowest terms as (n >> z, k - z), z = min(k, trailing
+    zero bits of n): gcd(n, 2**k) = 2**z, so no gcd is needed."""
+    z = min(k, (n & -n).bit_length() - 1) if n else k
+    return n >> z, k - z
+
+
 # 30102999566/10**11 < log10(2) < 30102999567/10**11
 _LOG10_2 = (30102999566, 30102999567)
 _LOG10_2_DEN = 10 ** 11
@@ -232,7 +240,7 @@ def _pow5_bracket(m: int, w: int) -> tuple[int, int, int]:
     return lo, hi, t
 
 
-def root_sci_string(n: int, k: int, v: int, sig: int = 6) -> str:
+def root_sci_string(n: int, k: int, v: int, sig: int) -> str:
     """Scientific-notation string of (n * 2**-k)**(1/v), truncated toward
     zero.
 

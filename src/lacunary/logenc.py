@@ -1,11 +1,12 @@
-"""Directed-rounding natural-log enclosures over exact rationals.
+"""Directed-rounding natural-log enclosures on one fixed-point grid.
 
 The only transcendental function the package ever needs is ln, and only
-ever as a two-sided rational enclosure: comparisons between huge powers
-reduce to e1*ln(b1) vs e2*ln(b2), and empirical approximation exponents
-are ratios of logs.  Everything is computed in fixed point (integers
-scaled by 2**w) with floor/ceil rounding chosen so the returned interval
-always contains the true value.
+ever as a two-sided enclosure: comparisons between huge powers reduce to
+e1*ln(b1) vs e2*ln(b2), and empirical approximation exponents are ratios
+of logs.  Every enclosure at precision prec is a pair of ints (lo, hi)
+meaning ln in [lo, hi] * 2**-(prec + _GUARD), the grid the series below
+is summed on; floor/ceil rounding keeps the true value inside, and
+enclosures at one precision add and scale as plain ints.
 
 Core identity: ln y = 2*atanh(z) with z = (y-1)/(y+1), summed as
 z + z^3/3 + z^5/5 + ...  For y in [1, 2] we get z <= 1/3, so the series
@@ -15,10 +16,7 @@ first dropped term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-
-from .interval import RationalInterval
 
 # Guard bits beyond the requested fractional precision; absorbs per-term
 # rounding slop and the truncation remainder.
@@ -36,7 +34,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def ln_mantissa(num: int, den: int, prec: int) -> RationalInterval:
+def ln_mantissa(num: int, den: int, prec: int) -> tuple[int, int]:
     """Enclosure of ln(num/den) for den <= num <= 2*den.
 
     Fixed-point atanh series with floor rounding on the lower track and
@@ -45,7 +43,7 @@ def ln_mantissa(num: int, den: int, prec: int) -> RationalInterval:
     if den < 1 or num < den or num > 2 * den:
         raise ValueError(f"ln_mantissa needs 1 <= num/den <= 2, got {num}/{den}")
     if num == den:
-        return RationalInterval.point(Fraction(0))
+        return 0, 0
     w = prec + _GUARD
     zn = num - den          # z = zn/zd in (0, 1/3]
     zd = num + den
@@ -63,29 +61,24 @@ def ln_mantissa(num: int, den: int, prec: int) -> RationalInterval:
         m += 2
     # remaining terms: sum z^j/j over odd j >= m is < p_hi * 9/8 units
     s_hi += 2 * p_hi + 1
-    scale = 1 << w
-    return RationalInterval(Fraction(2 * s_lo, scale), Fraction(2 * s_hi, scale))
+    return 2 * s_lo, 2 * s_hi
 
 
 @lru_cache(maxsize=None)
-def ln_two(prec: int) -> RationalInterval:
+def ln_two(prec: int) -> tuple[int, int]:
     return ln_mantissa(2, 1, prec)
 
 
 @lru_cache(maxsize=4096)
-def _ln_modest_int(b: int, prec: int) -> RationalInterval:
+def _ln_modest_int(b: int, prec: int) -> tuple[int, int]:
     # b of manageable bit length: split off the power of two exactly
-    if b == 1:
-        return RationalInterval.point(Fraction(0))
     e = b.bit_length() - 1
-    mant = ln_mantissa(b, 1 << e, prec)
-    if e == 0:
-        return mant
-    l2 = ln_two(prec)
-    return RationalInterval(e * l2.lo + mant.lo, e * l2.hi + mant.hi)
+    m_lo, m_hi = ln_mantissa(b, 1 << e, prec)
+    l2_lo, l2_hi = ln_two(prec)
+    return e * l2_lo + m_lo, e * l2_hi + m_hi
 
 
-def ln_int_interval(b: int, prec: int) -> RationalInterval:
+def ln_int_interval(b: int, prec: int) -> tuple[int, int]:
     """Enclosure of ln(b) for an integer b >= 1 of any size.
 
     Very wide b is first reduced to its leading prec+32 bits: with
@@ -101,24 +94,25 @@ def ln_int_interval(b: int, prec: int) -> RationalInterval:
         return _ln_modest_int(b, prec)
     shift = e - keep
     m = b >> shift
-    lo_part = _ln_modest_int(m, prec)
-    hi_part = _ln_modest_int(m + 1, prec)
-    l2 = ln_two(prec)
-    return RationalInterval(lo_part.lo + shift * l2.lo, hi_part.hi + shift * l2.hi)
+    lo = _ln_modest_int(m, prec)[0]
+    hi = _ln_modest_int(m + 1, prec)[1]
+    l2_lo, l2_hi = ln_two(prec)
+    return lo + shift * l2_lo, hi + shift * l2_hi
 
 
-def ln_fraction_interval(x: Fraction, prec: int) -> RationalInterval:
-    """Enclosure of ln(x) for a positive rational x of any magnitude."""
-    x = Fraction(x)
+def ln_fraction_interval(x, prec: int) -> tuple[int, int]:
+    """Enclosure of ln(x) for a positive rational x (an int or a Fraction)
+    of any magnitude."""
     if x <= 0:
         raise ValueError(f"ln_fraction_interval needs x > 0, got {x}")
-    num = ln_int_interval(x.numerator, prec)
-    den = ln_int_interval(x.denominator, prec)
-    return RationalInterval(num.lo - den.hi, num.hi - den.lo)
+    num_lo, num_hi = ln_int_interval(x.numerator, prec)
+    den_lo, den_hi = ln_int_interval(x.denominator, prec)
+    return num_lo - den_hi, num_hi - den_lo
 
 
-def ln_of_interval(iv: RationalInterval, prec: int) -> RationalInterval:
-    """Enclosure of {ln t : t in iv} for an interval with iv.lo > 0.
+def ln_of_interval(iv, prec: int) -> tuple[int, int]:
+    """Enclosure of {ln t : t in iv} for an interval (anything with
+    rational `lo` and `hi`) with iv.lo > 0.
 
     ln is increasing, so the image is bracketed by outward-rounded logs
     of the endpoints.
@@ -128,5 +122,4 @@ def ln_of_interval(iv: RationalInterval, prec: int) -> RationalInterval:
     lo = ln_fraction_interval(iv.lo, prec)
     if iv.hi == iv.lo:
         return lo
-    hi = ln_fraction_interval(iv.hi, prec)
-    return RationalInterval(lo.lo, hi.hi)
+    return lo[0], ln_fraction_interval(iv.hi, prec)[1]

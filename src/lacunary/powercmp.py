@@ -94,11 +94,11 @@ def compare_trace(x: PurePower, y: PurePower) -> CompareDiagnostics:
     tried = []
     while True:
         tried.append(prec)
-        lx = ln_int_interval(x.base, prec) * x.exp
-        ly = ln_int_interval(y.base, prec) * y.exp
-        if lx.hi < ly.lo:
+        x_lo, x_hi = ln_int_interval(x.base, prec)
+        y_lo, y_hi = ln_int_interval(y.base, prec)
+        if x.exp * x_hi < y.exp * y_lo:
             return CompareDiagnostics(Ordering.LESS, "log-enclosure", tuple(tried))
-        if ly.hi < lx.lo:
+        if y.exp * y_hi < x.exp * x_lo:
             return CompareDiagnostics(Ordering.GREATER, "log-enclosure", tuple(tried))
         prec *= 2
 

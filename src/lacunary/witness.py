@@ -38,9 +38,9 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import gated_pow, int_divmod, int_label, root_sci_string, value_label
+from .intmath import gated_pow, int_divmod, int_label, lowest_dyadic, root_sci_string, value_label
 from .interval import RationalInterval
-from .logenc import ln_int_interval, ln_of_interval
+from .logenc import ln_int_interval
 from .powercmp import Ordering, PurePower, compare
 from .series import (GUARD_BITS, Convergent, LacunarySeries, certified_digits, deepen,
                      exponent_after)
@@ -241,7 +241,8 @@ class RothCheck:
     the upper-endpoint ratio for a pass (< 1), the lower-endpoint ratio
     for a certified fail (>= 1).  `tie` marks an exact hit of the
     threshold by the certified endpoint.  `depth` is the number of terms
-    per series summed at the working precision that decided.
+    per series summed at the working precision that decided, and `gap`
+    the enclosure [lo, hi] * 2**-k that decided, as (lo, hi, k).
     """
 
     n: int
@@ -250,7 +251,7 @@ class RothCheck:
     tie: bool
     margin: str
     depth: int
-    gap: RationalInterval
+    gap: Tuple[int, int, int]
 
 
 def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
@@ -281,7 +282,7 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
             return RothCheck(
                 n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
                 margin=root_sci_string(stat, k * v, v, _MARGIN_DIGITS),
-                depth=depth, gap=RationalInterval.dyadic(lo, hi, k))
+                depth=depth, gap=(lo, hi, k))
     raise InsufficientDepth(
         f"no working precision up to {k} bits separates the gap at n={n} from the threshold")
 
@@ -292,19 +293,31 @@ def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     Log precision is tied to depth (64*depth fractional bits) so that
     deeper enclosures give strictly narrower exponent intervals.
     """
-    gap = true_gap_enclosure(c, n, depth)
-    return _exponent_interval(gap, composite_convergent(c, n).q, 64 * depth)
+    conv = composite_convergent(c, n)
+    lo, hi, k, _, _ = _gap_dyadic(c, conv, c.s2.depth_bits(depth))
+    return _exponent_interval((lo, hi, k), conv.q, 64 * depth)
 
 
-def _exponent_interval(gap: RationalInterval, q: int, prec: int) -> RationalInterval:
-    if gap.lo <= 0:
+def _ln_dyadic(n: int, k: int, prec: int) -> tuple:
+    # ln(m) - ln(2**j) for n * 2**-k = m/2**j in lowest terms: the
+    # enclosure ln_fraction_interval gives for Fraction(n, 2**k)
+    m, j = lowest_dyadic(n, k)
+    num, den = ln_int_interval(m, prec), ln_int_interval(1 << j, prec)
+    return num[0] - den[1], num[1] - den[0]
+
+
+def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
+    lo, hi, k = gap  # the gap is [lo, hi] * 2**-k
+    if lo <= 0:
         raise InsufficientDepth(
             "gap enclosure does not separate from zero; deepen the enclosure")
-    num = -ln_of_interval(gap, prec)
     den = ln_int_interval(q, prec)
-    if den.lo <= 0:
+    if den[0] <= 0:
         raise InternalError(f"log enclosure of q={q} is not positive")
-    return num / den
+    # -ln(gap) = [-(upper ln of hi), -(lower ln of lo)]; all logs are on
+    # one grid 2**-(prec + 16), so its scale cancels in the quotient
+    num = RationalInterval(-_ln_dyadic(hi, k, prec)[1], -_ln_dyadic(lo, k, prec)[0])
+    return num / RationalInterval(*den)
 
 
 @dataclass(frozen=True)
@@ -323,8 +336,7 @@ class IndexRecord:
     notice: Optional[str] = None
     convergent: Optional[Convergent] = None
     gap_bound: Optional[Fraction] = None
-    gap: Optional[RationalInterval] = None
-    bound_dominates: Optional[bool] = None  # gap.hi <= gap_bound cross-check
+    bound_dominates: Optional[bool] = None  # roth.gap's hi <= gap_bound cross-check
     roth: Optional[RothCheck] = None
     exponent_interval: Optional[RationalInterval] = None
     forms: Optional[QuotientForms] = None
@@ -413,31 +425,32 @@ def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> I
                 notice="quotient verification starts at n=2; only the convergent is recorded")
         bound = gap_bound(c, n)
         roth = verify_roth_instance(c, n, d_eff)
-        gap = roth.gap
+        _, hi, k = roth.gap
         try:
-            expo = _exponent_interval(gap, conv.q, 64 * roth.depth)
+            expo = _exponent_interval(roth.gap, conv.q, 64 * roth.depth)
         except InsufficientDepth:
             expo = None
         forms = None
         if c.op is Op.QUOTIENT:
-            forms = _quotient_display_forms(c, n, gap.hi, d)
+            forms = _quotient_display_forms(c, n, hi, k, d)
         return IndexRecord(
-            n=n, convergent=conv, gap_bound=bound, gap=gap,
-            bound_dominates=gap.hi <= bound, roth=roth,
+            n=n, convergent=conv, gap_bound=bound,
+            bound_dominates=hi * bound.denominator <= bound.numerator << k, roth=roth,
             exponent_interval=expo, forms=forms)
     except (ExponentBudgetExceeded, NonIntegralExponent, PrecisionUnattainable,
             InsufficientDepth, InvalidConfigError) as exc:
         return IndexRecord(n=n, error=f"{type(exc).__name__}: {exc}")
 
 
-def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: Fraction,
+def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
                             d: Fraction) -> QuotientForms:
     du, dv = d.numerator, d.denominator
+    m, j = lowest_dyadic(gap_hi, k)  # gap.hi = m/2**j in lowest terms
     ps1 = c.s1.partial_sum(n)
     ps2 = c.s2.partial_sum(n)
     h2 = c.s2.dyadic(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
-    num = gated_pow(gap_hi.numerator, dv, "gap.hi")
-    den = gated_pow(gap_hi.denominator, dv, "gap.hi")
+    num = gated_pow(m, dv, "gap.hi")
+    den = gated_pow(1 << j, dv, "gap.hi")
     q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 4 ** dv * den
     p_form = (num * gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
               < gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") * den)

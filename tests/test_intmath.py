@@ -4,10 +4,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lacunary import intmath
+from lacunary import certjson, intmath
 from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
     _DIV_LIMIT,
@@ -20,6 +20,7 @@ from lacunary.intmath import (
     int_divmod,
     int_label,
     introot,
+    lowest_dyadic,
     primitive_power,
     root_sci_string,
 )
@@ -117,6 +118,19 @@ def test_primitive_power_known_values():
     assert primitive_power(1296) == (6, 4)
     assert primitive_power(2**61) == (2, 61)
     assert primitive_power(10**6) == (10, 6)
+
+
+@given(st.integers(min_value=0, max_value=1 << 200), st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=300))
+@example(0, 0, 5)
+@example(1, 7, 0)
+@example(3, 4, 9)  # more trailing zero bits than k
+def test_lowest_dyadic_is_the_reduced_fraction(odd, z, k):
+    n = odd << z
+    f = Fraction(n, 2**k)
+    m, j = lowest_dyadic(n, k)
+    assert (m, j) == (f.numerator, f.denominator.bit_length() - 1)
+    assert certjson.dyadic(n, k) == certjson.rat(f)
 
 
 # The margin as it was computed from a Fraction, kept as the reference

@@ -15,6 +15,7 @@ from lacunary.errors import (
     NotFound,
 )
 from lacunary.interval import RationalInterval
+from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
 from lacunary.schedule import PowerSchedule
 from lacunary import witness
 from lacunary.series import Convergent, LacunarySeries, format_fixed
@@ -342,3 +343,30 @@ def test_difference_digits_match_fraction_truncation(places):
     ends = [int((NEAR_DIFFERENCE + x) * 10 ** places) for x in (-slack, slack)]
     assume(ends[0] == ends[1])
     assert composite_digits(DIFFERENCE, places) == format_fixed(ends[0], places)
+
+
+# The certify benchmark's grid (a1 = 2, beta = 1, n 1..4, d = 3).  Its gap
+# ends carry up to 576 trailing zero bits, where the reduced and the
+# unreduced end give different log enclosures.
+_CERTIFY_GRID = [("sum", 6, 2), ("sum", 6, 3), ("difference", 6, 2), ("difference", 5, 2),
+                 ("product", 4, 2), ("product", 3, 2), ("quotient", 3, 2)]
+
+
+@pytest.mark.parametrize("op, g1, g2", _CERTIFY_GRID)
+def test_exponent_interval_matches_the_fraction_route(op, g1, g2):
+    sched = PowerSchedule(2, Fraction(1))
+    c = CompositeNumber(Op(op), LacunarySeries(g1, sched), LacunarySeries(g2, sched))
+    reduced_ends = 0
+    for r in certify(c, 3, (1, 4)).records:
+        if r.roth is None:
+            continue
+        lo, hi, k = r.roth.gap
+        reduced_ends += (Fraction(lo, 2**k).denominator < 2**k) + (Fraction(hi, 2**k).denominator < 2**k)
+        # -ln(gap)/ln(q) as it was computed from the Fraction ends
+        prec = 64 * r.roth.depth
+        unit = Fraction(1, 2 ** (prec + _GUARD))
+        ln_gap = RationalInterval(ln_fraction_interval(Fraction(lo, 2**k), prec)[0] * unit,
+                                  ln_fraction_interval(Fraction(hi, 2**k), prec)[1] * unit)
+        den = ln_int_interval(r.convergent.q, prec)
+        assert r.exponent_interval == -ln_gap / RationalInterval(den[0] * unit, den[1] * unit)
+    assert reduced_ends > 0
