@@ -112,7 +112,7 @@ def find_n1(c: CompositeNumber, t: AlgebraicTarget, n_max: int) -> N1Result:
         raise InvalidConfigError("n_max", f"must be a positive integer, got {n_max!r}")
     both = c.g1 * c.g2
     threshold = 2 * t.height * t.degree ** 2
-    tsq = Fraction(threshold) ** 2
+    tsq = threshold * threshold
     evidence: List[BracketEvidence] = []
     for n in range(1, n_max + 1):
         left = power_vs_threshold(PurePower(both, c.schedule.exponent(n)), tsq)

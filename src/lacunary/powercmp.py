@@ -10,8 +10,8 @@ Two pure powers (`compare`), in order:
      directed-rounding log enclosures, doubling the precision until the
      intervals separate (termination is guaranteed by step 2).
 
-A pure power against a rational threshold (`power_vs_threshold`) is
-decided by bit lengths alone, or by one exact comparison no more than
+A pure power against a positive integer threshold (`power_vs_threshold`)
+is decided by bit lengths alone, or by one exact comparison no more than
 twice the size of the threshold.
 
 No floating point touches any decision.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .errors import InvalidConfigError
@@ -50,10 +49,6 @@ class PurePower:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {self.base!r}")
         if not isinstance(self.exp, int) or isinstance(self.exp, bool) or self.exp < 0:
             raise InvalidConfigError("exp", f"must be a nonnegative integer, got {self.exp!r}")
-
-    def bit_bound(self) -> int:
-        """Upper bound on the bit length of the materialized value."""
-        return self.exp * self.base.bit_length()
 
     def materialize(self) -> int:
         return self.base ** self.exp
@@ -103,28 +98,25 @@ def compare_trace(x: PurePower, y: PurePower) -> CompareDiagnostics:
         prec *= 2
 
 
-def power_vs_threshold(x: PurePower, threshold) -> Ordering:
-    """Ordering of base**exp against a positive rational threshold p/q.
+def power_vs_threshold(x: PurePower, t: int) -> Ordering:
+    """Ordering of base**exp against a positive integer threshold t.
 
-    With bl = base.bit_length(), base**exp * q lies in
-    [2**(exp*(bl-1) + bits(q) - 1), 2**(exp*bl + bits(q))) and p lies in
-    [2**(bits(p) - 1), 2**bits(p)).  Disjoint ranges decide the order;
-    otherwise base**exp * q has at most 2*bits(p) + 2 bits, and one exact
-    comparison settles it at no more than twice the size of the threshold
-    the caller already built.
+    With bl = base.bit_length(), base**exp lies in [2**(exp*(bl-1)),
+    2**(exp*bl)] and t in [2**(bits(t) - 1), 2**bits(t)).  Disjoint ranges
+    decide the order; otherwise base**exp has under 2*bits(t) bits, and one
+    exact comparison settles it at no more than twice the size of the
+    threshold the caller already built.
     """
-    t = Fraction(threshold)
-    if t <= 0:
-        raise InvalidConfigError("threshold", f"must be positive, got {t}")
-    p, q = t.numerator, t.denominator
-    bl, pb, qb = x.base.bit_length(), p.bit_length(), q.bit_length()
-    if x.exp * bl + qb < pb:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+        raise InvalidConfigError("threshold", f"must be a positive integer, got {t!r}")
+    bl, tb = x.base.bit_length(), t.bit_length()
+    if x.exp * bl < tb - 1:
         return Ordering.LESS
-    if x.exp * (bl - 1) + qb - 1 >= pb:
+    if x.exp * (bl - 1) >= tb:
         return Ordering.GREATER
-    lhs = x.materialize() * q
-    if lhs < p:
+    v = x.materialize()
+    if v < t:
         return Ordering.LESS
-    if lhs > p:
+    if v > t:
         return Ordering.GREATER
     return Ordering.EQUAL

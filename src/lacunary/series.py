@@ -150,9 +150,8 @@ class LacunarySeries:
         j = min(k, e * g.bit_length() + GUARD_BITS) if short else k
         check_power(2, j, 1)
         tail = 1
-        if short:  # ceil(g * 2**j / ((g-1) * g**e)); j - s >= -2 as e*b <= k+2
-            odd, s = self._split_power(e)
-            q, r = int_divmod(g << max(j - s, 0), (g - 1) * odd << max(s - j, 0))
+        if short:  # ceil(g * 2**j / ((g-1) * g**e))
+            q, r = int_divmod(g << j, (g - 1) * gated_pow(g, e))
             tail = q + (r > 0)
         lo = 0
         for a in exps:

@@ -38,7 +38,8 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import gated_pow, int_divmod, int_label, lowest_dyadic, root_sci_string, value_label
+from .intmath import (check_power, gated_pow, int_divmod, int_label, lowest_dyadic,
+                      root_sci_string, value_label)
 from .interval import RationalInterval
 from .logenc import ln_int_interval
 from .powercmp import Ordering, PurePower, compare
@@ -163,29 +164,29 @@ def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterv
 
 
 def gap_bound(c: CompositeNumber, n: int) -> Fraction:
-    """Certified rational upper bound on |value - convergent_n|.
+    """Certified rational upper bound on |value - convergent_n|, a multiple
+    of tail = 2/g2**a_{n+1}, the upper end of `c.s2.tail_sandwich(n)`.
 
-    sum/difference: 4/g2**a_{n+1} (both tails are under 2/g2**a_{n+1}
-    since g1 > g2).  product: 2*(1 + up1 + up2)/g2**a_{n+1} with up_j a
-    certified upper bound on theta_j.  quotient (n >= 2 only):
-    (2 + 4*g2**a1) * g2**a1 / g2**a_{n+1}, using the exact lower bound
-    theta_{n,2} > g2**(-a1).
+    sum/difference: 2*tail (both tails are under it since g1 > g2).
+    product: tail*(1 + up1 + up2) with up_j a certified upper bound on
+    theta_j.  quotient (n >= 2 only): tail*(1 + 2*g2**a1)*g2**a1, using
+    the exact lower bound theta_{n,2} > g2**(-a1).
     """
-    step = gated_pow(c.g2, c.schedule.exponent(n + 1))
+    tail = c.s2.tail_sandwich(n)[1]
     if c.op in (Op.SUM, Op.DIFFERENCE):
-        return Fraction(4, step)
+        return 2 * tail
     if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
         h1, h2 = c.s1.dyadic(GUARD_BITS)[1], c.s2.dyadic(GUARD_BITS)[1]
-        return Fraction(2 * ((1 << GUARD_BITS) + h1 + h2), step << GUARD_BITS)
+        return tail * Fraction((1 << GUARD_BITS) + h1 + h2, 1 << GUARD_BITS)
     # quotient
     if n < 2:
         raise InvalidConfigError("n", "quotient gap bound requires n >= 2")
     inv_up = gated_pow(c.g2, c.schedule.exponent(1))
-    floor2 = Fraction(1, inv_up)  # theta2 > g2**(-a1), so 1/theta2 < inv_up
-    if not c.s2.partial_sum(n).fraction > floor2:
+    ps2 = c.s2.partial_sum(n)  # theta2 > g2**(-a1), so 1/theta2 < inv_up
+    if not ps2.p * inv_up > ps2.q:
         raise InternalError(
-            f"partial sum of the second series at n={n} is not above {floor2}")
-    return Fraction((2 + 4 * inv_up) * inv_up, step)
+            f"partial sum of the second series at n={n} is not above 1/{inv_up}")
+    return tail * ((1 + 2 * inv_up) * inv_up)
 
 
 @dataclass(frozen=True)
@@ -450,10 +451,10 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
     ps2 = c.s2.partial_sum(n)
     h2 = c.s2.dyadic(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
     num = gated_pow(m, dv, "gap.hi")
-    den = gated_pow(1 << j, dv, "gap.hi")
-    q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 4 ** dv * den
+    check_power("gap.hi", dv, j + 1)  # (2**j)**dv, applied as shifts
+    q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 1 << (j + 2) * dv
     p_form = (num * gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
-              < gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") * den)
+              < gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") << j * dv)
     return QuotientForms(q_denominator_form=q_form, p_denominator_form=p_form)
 
 

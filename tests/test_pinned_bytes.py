@@ -81,6 +81,20 @@ PINS = [
     (("validate", "--n-to", "3"),
      "95228e9b1b6dae2414b71c21eda3270680a419927c59d1b21d2d8f47b53d46cc",
      EMPTY, 0),
+    # enclosures that stall at the schedule's end, so the tail is rounded
+    # up: on an even base, on an odd base, and on a refusal
+    (("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--a1", "2", "--beta", "2",
+      "--digits", "19"),
+     "6c97fe1c3d84d284bc0b01cb5ece90eda8f7106aa43417cfb208c41cb1d9eca9",
+     EMPTY, 0),
+    (("digits", "--g1", "7", "--g2", "5", "--op", "quotient", "--a1", "2", "--beta", "2",
+      "--digits", "70"),
+     "93b0461c509af635ab2a9396b2e28286ff5841ec59043027f22f47f86ac0e19b",
+     EMPTY, 0),
+    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--budget-bits", "4",
+      "--digits", "94"),
+     EMPTY,
+     "3f3802eb459654e5c1f7a1cb4103c67449d944914f9f4e3d481d731f1fb4c962", 3),
 ]
 
 

@@ -280,10 +280,10 @@ def test_dyadic_enclosure_contains_the_exact_interval(base):
 
 @pytest.mark.parametrize("base", range(2, 13))
 def test_dyadic_ends_are_the_full_width_quotients(base):
-    # base = odd * 2**z is divided out as a shift and a division by odd**a;
-    # the ends are the integers that dividing by base**a itself gives, also
-    # at a rounded-up tail whose shift z*e passes j (a power-of-two base at
-    # the rule's edge, e*b = k+1 or k+2)
+    # each term divides out base = odd * 2**z as a shift and a division by
+    # odd**a; the ends are the integers that dividing by base**a itself
+    # gives, also at a rounded-up tail where z*e passes j (a power-of-two
+    # base at the rule's edge, e*b = k+1 or k+2)
     b = base.bit_length() - 1
     z = (base & -base).bit_length() - 1
     shift_past_j = False

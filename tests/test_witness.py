@@ -148,6 +148,58 @@ def test_gap_bounds_known_values():
         gap_bound(q, 1)
 
 
+def test_gap_bound_matches_closed_forms():
+    # each bound against its closed form over g2**a_{n+1}, written out
+    # without the tail sandwich
+    checked = 0
+    for g1 in range(3, 8):
+        for g2 in range(2, g1):
+            for a1 in (2, 3):
+                sched = PowerSchedule(a1, Fraction(1))
+                s1, s2 = LacunarySeries(g1, sched), LacunarySeries(g2, sched)
+                for op in Op:
+                    c = CompositeNumber(op, s1, s2)
+                    for n in (2, 3) if op is Op.QUOTIENT else (1, 2, 3):
+                        step = g2 ** sched.exponent(n + 1)
+                        if op in (Op.SUM, Op.DIFFERENCE):
+                            want = Fraction(4, step)
+                        elif op is Op.PRODUCT:
+                            h1, h2 = s1.dyadic(64)[1], s2.dyadic(64)[1]
+                            want = Fraction(2 * ((1 << 64) + h1 + h2), step << 64)
+                        else:
+                            inv_up = g2**a1
+                            want = Fraction((2 + 4 * inv_up) * inv_up, step)
+                        assert gap_bound(c, n) == want, (op, g1, g2, a1, n)
+                        checked += 1
+    assert checked == 15 * 2 * 11
+
+
+@pytest.mark.parametrize("g1, g2", [(3, 2), (4, 2), (5, 3), (7, 5), (6, 4)])
+def test_quotient_forms_match_built_powers(g1, g2):
+    # the forms compare against shifts where 4**dv * (2**j)**dv was built
+    sched = PowerSchedule(2, Fraction(1))
+    c = CompositeNumber(Op.QUOTIENT, LacunarySeries(g1, sched), LacunarySeries(g2, sched))
+    h2 = c.s2.dyadic(64)[1]
+    for d in (Fraction(3), Fraction(7, 2), Fraction(13, 4)):
+        du, dv = d.numerator, d.denominator
+        for n in (2, 3, 4):
+            ps1, ps2 = c.s1.partial_sum(n), c.s2.partial_sum(n)
+            gaps = [verify_roth_instance(c, n, (2 + d) / 2).gap[1:]]
+            if dv == 1:  # gap.hi one unit either side of each form's threshold
+                k = 3 * du * (ps1.q * ps2.q).bit_length()
+                for t in ((4 << k) // (ps1.q * ps2.q) ** du,
+                          (4 * ((1 << 64) + h2) << k) // ((ps1.q * ps2.p) ** du << 64)):
+                    gaps += [(t + i, k) for i in (-1, 0, 1)]
+            for hi, k in gaps:
+                g = Fraction(hi, 1 << k)
+                m, den = g.numerator, g.denominator
+                q_form = m**dv * (ps1.q * ps2.q) ** du < 4**dv * den**dv
+                p_form = (m**dv * (ps1.q * ps2.p) ** du << 64 * dv
+                          < (4 * ((1 << 64) + h2)) ** dv * den**dv)
+                got = witness._quotient_display_forms(c, n, hi, k, d)
+                assert (got.q_denominator_form, got.p_denominator_form) == (q_form, p_form)
+
+
 @pytest.mark.parametrize("op", list(Op))
 def test_gap_bound_dominates_true_gap(op):
     c = build_example(op)
