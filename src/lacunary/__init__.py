@@ -16,7 +16,6 @@ from .errors import (
     InvalidConfigError,
     LacunaryError,
     NonIntegralExponent,
-    NoSignChange,
     NotFound,
     PrecisionUnattainable,
     TieEncountered,
@@ -27,12 +26,8 @@ from .measure import (
     BracketEvidence,
     MeasureBound,
     N1Result,
-    TargetCheck,
     approximation_measure,
-    check_against_target,
     find_n1,
-    liouville_gap_bound,
-    root_enclosure,
 )
 from .powercmp import (
     CompareDiagnostics,
@@ -70,7 +65,7 @@ __all__ = [
     "__version__",
     "LacunaryError", "InvalidConfigError", "NonIntegralExponent",
     "ExponentBudgetExceeded", "PrecisionUnattainable", "InsufficientDepth",
-    "NotFound", "TieEncountered", "NoSignChange", "InternalError",
+    "NotFound", "TieEncountered", "InternalError",
     "RationalInterval",
     "PowerSchedule", "GrowthWindow", "GrowthCheck", "validate_growth",
     "LacunarySeries", "Convergent", "deepest_feasible",
@@ -82,6 +77,5 @@ __all__ = [
     "WitnessCertificate", "IndexRecord", "RothCheck", "ThresholdCheck",
     "ThresholdScan", "QuotientForms",
     "AlgebraicTarget", "MeasureBound", "BracketEvidence", "N1Result",
-    "TargetCheck", "liouville_gap_bound", "approximation_measure", "find_n1",
-    "check_against_target", "root_enclosure",
+    "approximation_measure", "find_n1",
 ]

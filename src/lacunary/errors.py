@@ -48,9 +48,5 @@ class TieEncountered(LacunaryError):
         super().__init__(message or f"exact equality at n={n} ({side} comparison)")
 
 
-class NoSignChange(LacunaryError):
-    """The polynomial does not change sign over the given bracket."""
-
-
 class InternalError(LacunaryError):
     """An internal invariant was violated; results must not be trusted."""

@@ -1,12 +1,11 @@
 """Approximation-measure machinery for algebraic targets of bounded
 degree and height.
 
-Three pieces: the classical gap bound 1/(H*d**2*q**d) below which a
-degree-d, height-H algebraic number cannot approach p/q; the bracketing
-index n1 with (g1*g2)**(a_n/2) < 2*H*d**2 < (g1*g2)**(a_{n+1}/2),
-decided on squared quantities so half exponents never appear; and the
-closed-form measure 1/(2*H*d**2)**(1+4*d).  Height is the naive height
-(max |coefficient| of the minimal polynomial), an integer >= 1.
+Two pieces: the closed-form measure 1/(2*H*d**2)**(1+4*d), and the
+bracketing index n1 with (g1*g2)**(a_n/2) < 2*H*d**2 < (g1*g2)**(a_{n+1}/2),
+decided on squared quantities so half exponents never appear.  Height is
+the naive height (max |coefficient| of the minimal polynomial), an
+integer >= 1.
 
 Strict bracketing can be impossible when 2*H*d**2 lands exactly on a
 power boundary; that surfaces as TieEncountered naming the index and
@@ -19,21 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import InvalidConfigError, NoSignChange, NotFound, TieEncountered
-from .interval import RationalInterval
+from .errors import InvalidConfigError, NotFound, TieEncountered
 from .intmath import decimal_str, gated_pow
 from .powercmp import Ordering, PurePower, power_vs_threshold
-from .witness import CompositeNumber, value_enclosure
+from .witness import CompositeNumber
 
 
 @dataclass(frozen=True)
 class AlgebraicTarget:
-    """An algebraic number known only through degree, height and
-    (optionally) a rational enclosure of its value."""
+    """An algebraic number known only through its degree and height."""
 
     degree: int
     height: int
-    value_enclosure: Optional[RationalInterval] = None
 
     def __post_init__(self):
         if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 2:
@@ -47,16 +43,7 @@ class MeasureBound:
     """Distance bound |value - target| > bound with its derivation trace."""
 
     bound: Fraction
-    n1: Optional[int]
     derivation: Tuple[str, ...]
-
-
-def liouville_gap_bound(t: AlgebraicTarget, q: int) -> Fraction:
-    """1/(H * d**2 * q**d): no degree-d height-H algebraic number comes
-    closer than this to a reduced fraction with denominator q."""
-    if not isinstance(q, int) or q < 1:
-        raise InvalidConfigError("q", f"denominator must be a positive integer, got {q!r}")
-    return Fraction(1, t.height * t.degree ** 2 * q ** t.degree)
 
 
 def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
@@ -74,7 +61,7 @@ def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
         f"bound: 1/({base})^{expo}",
         f"denominator: {decimal_str(bound.denominator)}",
     )
-    return MeasureBound(bound=bound, n1=None, derivation=derivation)
+    return MeasureBound(bound=bound, derivation=derivation)
 
 
 @dataclass(frozen=True)
@@ -148,83 +135,3 @@ def _certify_dominance(c: CompositeNumber, t: AlgebraicTarget, n1: int) -> bool:
         return False
     threshold = 2 * t.height * t.degree ** 2
     return power_vs_threshold(PurePower(c.g1 * c.g2, e), threshold) is Ordering.GREATER
-
-
-@dataclass(frozen=True)
-class TargetCheck:
-    """Desk-scale distance check of a composite against one concrete target."""
-
-    verdict: str  # "pass" | "fail" | "indeterminate"
-    distance_lo: Fraction
-    distance_hi: Fraction
-    bound: Fraction
-    depth: int
-
-
-def check_against_target(c: CompositeNumber, t: AlgebraicTarget, depth: int) -> TargetCheck:
-    """Certify |composite value - target| > measure bound at finite depth.
-
-    pass: the certified distance lower bound exceeds the bound.
-    indeterminate: the enclosures overlap, or the distance interval
-    straddles the bound.  fail: the certified distance upper bound is at
-    most the bound (which would contradict the measure).
-    """
-    if t.value_enclosure is None:
-        raise InvalidConfigError("value_enclosure",
-                                 "a concrete target enclosure is required for this check")
-    a = value_enclosure(c, depth)
-    b = t.value_enclosure
-    zero = Fraction(0)
-    distance_lo = max(b.lo - a.hi, a.lo - b.hi, zero)
-    distance_hi = max(a.hi - b.lo, b.hi - a.lo)
-    bound = approximation_measure(t).bound
-    if distance_lo > bound:
-        verdict = "pass"
-    elif distance_hi <= bound:
-        verdict = "fail"
-    else:
-        verdict = "indeterminate"
-    return TargetCheck(verdict=verdict, distance_lo=distance_lo,
-                       distance_hi=distance_hi, bound=bound, depth=depth)
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    # constant term first
-    acc = Fraction(0)
-    for ci in reversed(coeffs):
-        acc = acc * x + ci
-    return acc
-
-
-def root_enclosure(poly_coeffs, bracket: RationalInterval, width) -> RationalInterval:
-    """Sign-bisection enclosure of a polynomial root down to `width`.
-
-    Coefficients are integers, constant term first.  The bracket must
-    show a sign change (an endpoint root is returned as a point
-    interval); otherwise NoSignChange.
-    """
-    coeffs = list(poly_coeffs)
-    if not coeffs or not all(isinstance(ci, int) for ci in coeffs):
-        raise InvalidConfigError("poly_coeffs", f"need a non-empty integer list, got {poly_coeffs!r}")
-    width = Fraction(width)
-    if width <= 0:
-        raise InvalidConfigError("width", f"must be positive, got {width}")
-    lo, hi = bracket.lo, bracket.hi
-    f_lo = _poly_eval(coeffs, lo)
-    f_hi = _poly_eval(coeffs, hi)
-    if f_lo == 0:
-        return RationalInterval.point(lo)
-    if f_hi == 0:
-        return RationalInterval.point(hi)
-    if (f_lo < 0) == (f_hi < 0):
-        raise NoSignChange(f"no sign change over [{lo}, {hi}]")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        f_mid = _poly_eval(coeffs, mid)
-        if f_mid == 0:
-            return RationalInterval.point(mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import lacunary
 from lacunary import (CompositeNumber, LacunarySeries, PowerSchedule, __version__, certjson,
                       cli, measure, series)
 from lacunary.certjson import certificate_document, dumps, loads
@@ -328,6 +329,19 @@ def test_module_entry_point_version():
                           capture_output=True, text=True, env=CLI_ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"lacunary {__version__}"
+
+
+def test_package_exports_resolve():
+    assert len(set(lacunary.__all__)) == len(lacunary.__all__)
+    assert [name for name in lacunary.__all__ if not hasattr(lacunary, name)] == []
+    namespace = {}
+    exec("from lacunary import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lacunary.__all__)
+    # names deleted with measure's target check; none may stay importable
+    for name in ("NoSignChange", "TargetCheck", "check_against_target",
+                 "liouville_gap_bound", "root_enclosure"):
+        with pytest.raises(ImportError):
+            exec(f"from lacunary import {name}", {})
 
 
 def test_rationals_reparse_exactly(capsys):

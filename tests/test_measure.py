@@ -1,31 +1,24 @@
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from lacunary.errors import (
     InvalidConfigError,
-    NoSignChange,
     NotFound,
     TieEncountered,
 )
-from lacunary.interval import RationalInterval
 from lacunary.measure import (
     AlgebraicTarget,
     approximation_measure,
-    check_against_target,
     find_n1,
-    liouville_gap_bound,
-    root_enclosure,
 )
-from lacunary.witness import Op, value_enclosure
+from lacunary.witness import Op
 
 from conftest import build_example
 
 
 def test_target_validation():
-    t = AlgebraicTarget(degree=3, height=2)
-    assert t.value_enclosure is None
+    AlgebraicTarget(degree=3, height=2)
     with pytest.raises(InvalidConfigError):
         AlgebraicTarget(degree=1, height=1)
     with pytest.raises(InvalidConfigError):
@@ -36,18 +29,9 @@ def test_target_validation():
         AlgebraicTarget(degree=True, height=1)
 
 
-def test_liouville_gap_bound_values():
-    assert liouville_gap_bound(AlgebraicTarget(3, 2), 36) == Fraction(1, 839808)
-    assert liouville_gap_bound(AlgebraicTarget(2, 1), 1) == Fraction(1, 4)
-    assert liouville_gap_bound(AlgebraicTarget(3, 1), 1296) == Fraction(1, 9 * 1296**3)
-    with pytest.raises(InvalidConfigError):
-        liouville_gap_bound(AlgebraicTarget(2, 1), 0)
-
-
 def test_approximation_measure_closed_form():
     m = approximation_measure(AlgebraicTarget(3, 1))
     assert m.bound == Fraction(1, 18**13)
-    assert m.n1 is None
     assert "bound: 1/(18)^13" in m.derivation
     assert approximation_measure(AlgebraicTarget(2, 1)).bound == Fraction(1, 8**9)
     assert approximation_measure(AlgebraicTarget(3, 5)).bound == Fraction(1, 90**13)
@@ -111,70 +95,3 @@ def test_find_n1_dominance_matches_direct_arithmetic():
     # compound inequality, materialized: 6**16 > 54 * 6**(3*4)
     assert 6**16 > 54 * 6**12
     assert res.dominance_certified is True
-
-
-def cbrt2_enclosure(width=Fraction(1, 10**9)):
-    return root_enclosure([-2, 0, 0, 1], RationalInterval(Fraction(1), Fraction(2)), width)
-
-
-def test_root_enclosure_cube_root_of_two():
-    iv = cbrt2_enclosure(Fraction(1, 10**3))
-    assert iv.width <= Fraction(1, 10**3)
-    with mpmath.workprec(200):
-        r = mpmath.cbrt(2)
-        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-        assert lo <= r <= hi
-
-
-def test_root_enclosure_exact_hits():
-    # endpoint root
-    pt = root_enclosure([-1, 1], RationalInterval(Fraction(1), Fraction(2)), Fraction(1, 2))
-    assert pt.lo == pt.hi == 1
-    # midpoint root: x - 1 over [0, 2] bisects straight onto 1
-    mid = root_enclosure([-1, 1], RationalInterval(Fraction(0), Fraction(2)), Fraction(1, 2))
-    assert mid.lo == mid.hi == 1
-
-
-def test_root_enclosure_errors():
-    with pytest.raises(NoSignChange):
-        root_enclosure([1, 0, 1], RationalInterval(Fraction(0), Fraction(2)), Fraction(1, 2))
-    with pytest.raises(InvalidConfigError):
-        root_enclosure([], RationalInterval(Fraction(0), Fraction(1)), Fraction(1, 2))
-    with pytest.raises(InvalidConfigError):
-        root_enclosure([Fraction(1, 2), 1], RationalInterval(Fraction(0), Fraction(1)),
-                       Fraction(1, 2))
-    with pytest.raises(InvalidConfigError):
-        root_enclosure([-2, 1], RationalInterval(Fraction(0), Fraction(3)), 0)
-
-
-def test_check_against_cube_root_target():
-    t = AlgebraicTarget(3, 2, value_enclosure=cbrt2_enclosure())
-    chk = check_against_target(build_example(Op.SUM), t, 4)
-    assert chk.verdict == "pass"
-    assert float(chk.distance_lo) == pytest.approx(0.82394898, abs=1e-6)
-    assert chk.distance_lo > chk.bound
-    assert chk.bound == Fraction(1, 36**13)
-
-
-def test_check_against_target_difference_and_indeterminate():
-    t = AlgebraicTarget(3, 2, value_enclosure=cbrt2_enclosure())
-    assert check_against_target(build_example(Op.DIFFERENCE), t, 4).verdict == "pass"
-    # a fake target overlapping the composite value is indeterminate
-    inside = AlgebraicTarget(3, 2, value_enclosure=RationalInterval(
-        Fraction(43, 100), Fraction(44, 100)))
-    assert check_against_target(build_example(Op.SUM), inside, 4).verdict == "indeterminate"
-    with pytest.raises(InvalidConfigError):
-        check_against_target(build_example(Op.SUM), AlgebraicTarget(3, 2), 4)
-
-
-def test_check_against_target_all_verdicts():
-    c = build_example(Op.SUM)
-    # distinct point target well away from the value: pass
-    far = AlgebraicTarget(2, 1, value_enclosure=RationalInterval.point(Fraction(7, 16)))
-    chk = check_against_target(c, far, 4)
-    assert chk.verdict == "pass" and chk.distance_hi >= chk.distance_lo > 0
-    # a (hypothetical) target sitting exactly on the composite enclosure:
-    # certified distance collapses under the bound -> fail branch
-    coincident = AlgebraicTarget(2, 1, value_enclosure=value_enclosure(c, 4))
-    assert check_against_target(c, coincident, 4).verdict == "fail"
