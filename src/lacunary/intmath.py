@@ -1,7 +1,8 @@
 """Exact integer and rational helpers: the size gate, roots, power
-decompositions, fast division, decimal output.
+decompositions, fast division, decimal output, and the one exact
+decimal context.
 
-Everything here is exact integer, Fraction or trapped-Inexact Decimal
+Everything here is exact integer, Fraction or trapped Decimal
 arithmetic; no float enters this module at all.
 """
 
@@ -11,12 +12,14 @@ import decimal
 import sys
 from fractions import Fraction
 
-from .errors import ExponentBudgetExceeded
+from .errors import ExponentBudgetExceeded, InternalError
 
 __all__ = [
     "MATERIALIZE_BITS",
     "check_power",
+    "decimal_places",
     "decimal_str",
+    "exact_decimal",
     "gated_pow",
     "int_divmod",
     "int_label",
@@ -88,6 +91,37 @@ def value_label(value) -> str:
     return text if len(text) <= LABEL_CHARS else f"{text[:LABEL_CHARS]}... ({len(text)} characters)"
 
 
+# Unbounded precision and exponent range, so that no result is rounded;
+# every signal that a rounding or an undefined result raises is trapped.
+# Its flags are never read, so threads may share it.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero])
+
+
+class exact_decimal:
+    """Context manager: run the body in the one exact Decimal context.  A
+    trapped signal is an InternalError: a rounded digit must never print.
+
+    Only integer-valued steps belong here (+, -, *, //, divmod, ** with a
+    natural exponent, scaleb, to_integral_value).  libmpdec sizes a true
+    division by the precision, so an inexact `/` in this context raises
+    MemoryError before it can signal Inexact.
+    """
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self):
+        self._saved = decimal.getcontext()
+        decimal.setcontext(_EXACT)
+
+    def __exit__(self, kind, exc, tb):
+        decimal.setcontext(self._saved)
+        if isinstance(exc, decimal.DecimalException):
+            raise InternalError(f"decimal arithmetic signalled {kind.__name__}; "
+                                "only exact results may print") from exc
+
+
 def decimal_str(n: int) -> str:
     """str(n), in subquadratic time for huge n.
 
@@ -95,10 +129,16 @@ def decimal_str(n: int) -> str:
     STR_CUTOVER_BITS, n is split by bit halves and rebuilt as a
     decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
     algorithm, CPython 3.12's Lib/_pylong.py).  The factor 2**z of n is
-    split off first and applied as one Decimal product.  The context has
-    unbounded precision and exponent range and traps Inexact, so a
-    rounding raises instead of misprinting.  The memo of powers of two
-    lives for one call.
+    split off first and applied as one Decimal product, in the exact
+    context.  The memo of powers of two lives for one call.
+
+    `digits` no longer comes here: its enclosures are born on the decimal
+    grid and print with `str`.  What is left are the integers born
+    binary: convergents (`cli`), certificates (`certjson`: convergents,
+    gap ends over 2**k and the gap bound) and the measure denominator.
+    A certificate schema that wrote the 2**k and g2**a denominators as
+    powers would leave it the convergents, the gap numerators and the
+    measure denominator.
     """
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)
@@ -122,11 +162,7 @@ def decimal_str(n: int) -> str:
         hi = m >> h
         return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * two_to(h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with exact_decimal():
         m = abs(n)
         z = (m & -m).bit_length() - 1
         odd = m >> z
@@ -182,6 +218,12 @@ def lowest_dyadic(n: int, k: int) -> tuple[int, int]:
 # 30102999566/10**11 < log10(2) < 30102999567/10**11
 _LOG10_2 = (30102999566, 30102999567)
 _LOG10_2_DEN = 10 ** 11
+
+
+def decimal_places(k: int) -> int:
+    """K = ceil(k * 30102999567/10**11) >= k * log10(2), so that the
+    decimal unit 10**-K is no coarser than the binary unit 2**-k."""
+    return -(-k * _LOG10_2[1] // _LOG10_2_DEN)
 
 
 def floor_log10(n: int, k: int) -> int:

@@ -6,16 +6,23 @@ by g, so N = 1 (mod g) and the fraction is already reduced; the reduced
 denominator g**a_n is an invariant this module actively checks.
 
 Partial sums are materialized on demand: q_n has Theta(a_n) digits, so
-construction of g**e passes the intmath size gate first.  Enclosures are
-dyadic: integers [lo, hi] on the 2**-k grid for a working precision k
-picked from the question, with the tail bounded by bit lengths.  The
-citable tail pair is (1/g**a_{n+1}, 2/g**a_{n+1}); `dyadic` bounds the
-tail by g/(g-1) * g**(-a_{n+1}).
+construction of g**e passes the intmath size gate first.  Enclosures lie
+on one of two grids: integers [lo, hi] on the grid radix**-j for a
+working precision picked from the question, with the terms chosen and
+the tail bounded by one rule whose only parameter is the grid.  The
+binary grid 2**-j (ints, shifts) serves the witness path, whose
+decisions are bit-length tests.  The decimal grid 10**-j (integral
+`decimal.Decimal`s, exact libmpdec arithmetic) serves `digits`, whose
+output is then born decimal and prints with `str`.  The citable tail
+pair is (1/g**a_{n+1}, 2/g**a_{n+1}); `on_grid` bounds the tail by
+g/(g-1) * g**(-a_{n+1}).
 """
 
 from __future__ import annotations
 
 import contextlib
+import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,12 +35,86 @@ from .errors import (
     NonIntegralExponent,
     PrecisionUnattainable,
 )
-from .intmath import MATERIALIZE_BITS, check_power, decimal_str, gated_pow, int_divmod
+from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, exact_decimal, floor_log10,
+                      gated_pow, int_divmod)
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
 # Working precision beyond the size of the quantity a decision needs.
 GUARD_BITS = 64
+
+
+class BinaryGrid:
+    """Ends as ints on the grid 2**-j; a place is a bit."""
+
+    radix = 2
+    number = int
+    scale = staticmethod(int.__lshift__)  # x * 2**j
+    floor_unscale = staticmethod(int.__rshift__)  # floor(x * 2**-j)
+    divmod = staticmethod(int_divmod)  # floored
+
+    def places(self, k: int) -> int:
+        return k
+
+    def log_bounds(self, g: int) -> tuple:
+        """(num, den, up) with num/den <= log2(g) < up.  The lower bound
+        stays floor(log2 g), though it builds terms that floor to 0: a
+        finer one changes the witness certificates' bytes."""
+        return g.bit_length() - 1, 1, g.bit_length()
+
+    def power(self, g: int, e: int) -> int:
+        return gated_pow(g, e)
+
+    def inverse_power(self, g: int, a: int, j: int) -> int:
+        """floor(2**j / g**a) for g**a <= 2**j: g = odd * 2**z divides as a
+        shift by z*a and a division by odd**a, gated as g**a."""
+        z = (g & -g).bit_length() - 1
+        check_power(g, a, g.bit_length())
+        return int_divmod(1 << j - z * a, (g >> z) ** a)[0]
+
+
+class DecimalGrid:
+    """Ends as integral Decimals on the grid 10**-j; a place is a digit.
+    Every operation is exact only in `exact_decimal`'s context."""
+
+    radix = 10
+    number = decimal.Decimal
+
+    places = staticmethod(decimal_places)  # 10**-places(k) <= 2**-k
+
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def log_bounds(g: int) -> tuple:
+        """(num, den, up) with num/den <= log10(g) < up."""
+        return floor_log10(g ** 64, 0), 64, floor_log10(g, 0) + 1
+
+    def power(self, g: int, e: int) -> decimal.Decimal:
+        check_power(g, e, g.bit_length())
+        return decimal.Decimal(g) ** e
+
+    def inverse_power(self, g: int, a: int, j: int) -> decimal.Decimal:
+        """floor(10**j / g**a)."""
+        return decimal.Decimal(1).scaleb(j) // self.power(g, a)
+
+    @staticmethod
+    def scale(x: decimal.Decimal, j: int) -> decimal.Decimal:
+        return x.scaleb(j)
+
+    @staticmethod
+    def floor_unscale(x: decimal.Decimal, j: int) -> decimal.Decimal:
+        return x.scaleb(-j).to_integral_value(rounding=decimal.ROUND_FLOOR)
+
+    @staticmethod
+    def divmod(x: decimal.Decimal, y: decimal.Decimal) -> tuple:
+        """Floored divmod: Decimal's own truncates toward zero."""
+        q, r = divmod(x, y)
+        if r and (r < 0) != (y < 0):
+            return q - 1, r + y
+        return q, r
+
+
+BINARY = BinaryGrid()
+DECIMAL = DecimalGrid()
 
 
 @dataclass(frozen=True)
@@ -65,19 +146,11 @@ class LacunarySeries:
             raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
         self.base = base
         self.schedule = schedule
-        self._twos = (base & -base).bit_length() - 1  # base = odd * 2**twos
-        self._odd = base >> self._twos
         self._partial: dict[int, Convergent] = {}
-        self._dyadic: dict[int, tuple] = {}
+        self._on_grid: dict[tuple, tuple] = {}
 
     def __repr__(self) -> str:
         return f"LacunarySeries(base={self.base}, schedule={self.schedule!r})"
-
-    def _split_power(self, e: int) -> tuple[int, int]:
-        """(odd**e, twos*e), so that base**e = odd**e << twos*e; refused as
-        base**e by the size gate, exactly as `gated_pow` refuses it."""
-        check_power(self.base, e, self.base.bit_length())
-        return self._odd ** e, self._twos * e
 
     def checked_exponent(self, n: int) -> int:
         """a_n, once the schedule has it and base**a_n passes the size gate:
@@ -111,28 +184,31 @@ class LacunarySeries:
         return Fraction(1, step), Fraction(2, step)
 
     def depth_bits(self, m: int) -> int:
-        """The precision at which `dyadic` sums exactly m terms, as fine as
-        the tail of the exact m-term enclosure."""
+        """The binary precision at which `on_grid` sums exactly m terms, as
+        fine as the tail of the exact m-term enclosure."""
         return exponent_after(self.schedule, m) * (self.base.bit_length() - 1) - 3
 
-    def dyadic(self, k: int) -> tuple:
-        """theta in [lo, hi] * 2**-j, as (lo, hi, j, terms, end).
+    def on_grid(self, k: int, grid=BINARY) -> tuple:
+        """theta in [lo, hi] * R**-j on the grid of radix R, as (lo, hi, j,
+        terms, end); k and j count the grid's places.
 
-        With b = bits(g) - 1, so that g**a >= 2**(a*b), lo sums (2**j) //
-        g**a_m over the M = `terms` exponents with a_m*b <= k+2 (a_1
-        always) and falls short by under M units.  For g = o * 2**z with o
-        odd each term is (2**(j - a_m*z)) // o**a_m, a shift when o = 1,
-        and the size gate still judges g**a_m.  The tail is under
-        g/(g-1) * g**-e <= 2**(1-e*b) for e <= a_{M+1}: a quarter unit if
-        e*b >= k+3, so hi = lo + M + 1, j = k and the width is (M + c) *
-        2**-k with c = 1.  Otherwise the schedule ended first (`end` is
-        the index it refused) and no k narrows the interval: j drops to
-        e*bits(g) + GUARD_BITS and the tail is rounded up.
+        With num/den <= log_R(g) (`grid.log_bounds`), so that g**a >=
+        R**(a*num/den), lo sums floor(R**j / g**a_m) over the M = `terms`
+        exponents with a_m*num/den <= k+2 (a_1 always) and falls short by
+        under M units.  The tail is under g/(g-1) * g**-e <= 2 *
+        R**(-e*num/den) for e <= a_{M+1}: a quarter unit at most if
+        e*num/den >= k+3, so hi = lo + M + 1, j = k and the width is (M +
+        c) * R**-k with c = 1.  Otherwise the schedule ended first (`end`
+        is the index it refused) and no k narrows the interval: j drops to
+        e*up plus GUARD_BITS' worth of places (log_R(g) < up) and the tail
+        is rounded up.  R**j passes the size gate as a power of R, at
+        bits(R-1) bits a place.
         """
-        got = self._dyadic.get(k)
+        got = self._on_grid.get((grid.radix, k))
         if got is not None:
             return got
-        g, b = self.base, self.base.bit_length() - 1
+        g = self.base
+        num, den, up = grid.log_bounds(g)
         exps = [self.schedule.exponent(1)]
         while True:
             m = len(exps)
@@ -143,32 +219,32 @@ class LacunarySeries:
                     raise
                 e = exps.pop()  # no a_{m+1}: the tail starts at a_m
             end = m + 1 if len(self.schedule.known()) == m else None
-            if end is not None or e * b > k + 2:
+            if end is not None or e * num > (k + 2) * den:
                 break
             exps.append(e)
-        short = e * b < k + 3
-        j = min(k, e * g.bit_length() + GUARD_BITS) if short else k
-        check_power(2, j, 1)
-        tail = 1
-        if short:  # ceil(g * 2**j / ((g-1) * g**e))
-            q, r = int_divmod(g << j, (g - 1) * gated_pow(g, e))
-            tail = q + (r > 0)
-        lo = 0
-        for a in exps:
-            if a * b <= j:  # floor(2**j / g**a), and s <= a*b <= j
-                odd, s = self._split_power(a)
-                lo += int_divmod(1 << j - s, odd)[0]
-        got = self._dyadic[k] = (lo, lo + len(exps) + tail, j, len(exps), end if short else None)
+        short = e * num < (k + 3) * den
+        j = min(k, e * up + grid.places(GUARD_BITS)) if short else k
+        check_power(grid.radix, j, (grid.radix - 1).bit_length())  # R <= 2**bits(R-1)
+        with exact_decimal():
+            tail = 1
+            if short:  # ceil(g * R**j / ((g-1) * g**e))
+                q, r = grid.divmod(grid.scale(grid.number(g), j), (g - 1) * grid.power(g, e))
+                tail = q + (r > 0)
+            # floor(R**j / g**a) is 0 once g**a > R**j
+            lo = sum((grid.inverse_power(g, a, j) for a in exps if a * num <= j * den),
+                     grid.number(0))
+            hi = lo + len(exps) + tail
+        got = self._on_grid[grid.radix, k] = (lo, hi, j, len(exps), end if short else None)
         return got
 
     def enclose(self, n_terms: int) -> RationalInterval:
-        """Interval containing theta: `dyadic` at `depth_bits(n_terms)`."""
-        lo, hi, k, _, _ = self.dyadic(self.depth_bits(n_terms))
+        """Interval containing theta: `on_grid` at `depth_bits(n_terms)`."""
+        lo, hi, k, _, _ = self.on_grid(self.depth_bits(n_terms))
         return RationalInterval.dyadic(lo, hi, k)
 
     def decimal_digits(self, digits: int) -> str:
         """Decimal expansion of theta truncated toward zero to `digits` places."""
-        return certified_digits(self.dyadic, digits, self.schedule)
+        return certified_digits(lambda k: self.on_grid(k, DECIMAL), digits, self.schedule)
 
 
 def exponent_after(schedule: PowerSchedule, m: int) -> int:
@@ -181,10 +257,11 @@ def exponent_after(schedule: PowerSchedule, m: int) -> int:
 
 
 def deepen(enclose, k: int, schedule: PowerSchedule):
-    """Yield `enclose(k)`, `enclose(2k)`, ... (dyadic enclosures as from
-    `LacunarySeries.dyadic`) until one stalls at the schedule's end or 2k
-    would pass MATERIALIZE_BITS.  A stall asks the schedule for the refused
-    index again, so a non-integral exponent is raised in its own words."""
+    """Yield `enclose(k)`, `enclose(2k)`, ... (enclosures as from
+    `LacunarySeries.on_grid`, k counted in bits) until one stalls at the
+    schedule's end or 2k would pass MATERIALIZE_BITS.  A stall asks the
+    schedule for the refused index again, so a non-integral exponent is
+    raised in its own words."""
     while True:
         got = enclose(k)
         yield got
@@ -198,30 +275,25 @@ def deepen(enclose, k: int, schedule: PowerSchedule):
 
 def certified_digits(enclose, digits: int, schedule: PowerSchedule) -> str:
     """Toward-zero expansion to `digits` places of the value that every
-    dyadic enclosure `enclose(k)` (as `LacunarySeries.dyadic`) contains.
+    enclosure `enclose(K)` on the decimal grid 10**-K (as
+    `LacunarySeries.on_grid` with DECIMAL) contains.
 
-    `deepen` runs k up from ceil(digits*log2(10)) + GUARD_BITS until both
-    ends truncate alike; else it is PrecisionUnattainable.
-
-    An end x truncates to x * 10**digits >> j = x * 5**digits >> (j -
-    digits), so lo * 5**digits is the one full-width product and hi's is
-    that plus (hi - lo) * 5**digits.  The shift is legal: hi > lo for every
-    enclosure, so the width test below passes only when j >= 3*digits.
+    `deepen` runs k up in bits from ceil(digits*log2(10)) + GUARD_BITS,
+    and each enclosure is taken at K = DECIMAL.places(k), so that 10**-K
+    <= 2**-k, until both ends truncate alike; else it is
+    PrecisionUnattainable.  An end x * 10**-j truncates to x * 10**(digits
+    - j) rounded toward zero: an exponent shift and a cut, with no product
+    and no radix conversion.  The binary grid serves the witness path.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
     k = digits * 3322 // 1000 + GUARD_BITS + 1
-    with contextlib.suppress(ExponentBudgetExceeded):
-        for lo, hi, j, _, _ in deepen(enclose, k, schedule):
-            # a width of 2**(1-3*digits) > 2 * 10**-digits separates the
-            # truncations, so it is refused before 5**digits is built
-            if hi - lo < 1 << max(0, j + 1 - 3 * digits):
-                scale = 5 ** digits
-                big = lo * scale
-                s = j - digits
-                t = [-(-x >> s) if x < 0 else x >> s for x in (big, big + (hi - lo) * scale)]
-                if t[0] == t[1]:
-                    return format_fixed(t[0], digits)
+    with exact_decimal(), contextlib.suppress(ExponentBudgetExceeded):
+        for lo, hi, j, _, _ in deepen(lambda k: enclose(DECIMAL.places(k)), k, schedule):
+            t = [x.scaleb(digits - j).to_integral_value(rounding=decimal.ROUND_DOWN)
+                 for x in (lo, hi)]
+            if t[0] == t[1]:  # only if j > digits, as hi > lo: t has exponent 0
+                return format_fixed(t[0], digits)
     raise PrecisionUnattainable(
         f"no enclosure tight enough for {digits} decimal places within the configured budgets")
 
@@ -250,10 +322,11 @@ def digits_from_interval(iv: RationalInterval, digits: int) -> str | None:
     return format_fixed(t_lo, digits)
 
 
-def format_fixed(t: int, digits: int) -> str:
-    """Render t * 10**-digits in plain decimal with `digits` places."""
+def format_fixed(t, digits: int) -> str:
+    """Render t * 10**-digits in plain decimal with `digits` places, for an
+    int t or an integral Decimal t of exponent 0."""
     sign = "-" if t < 0 else ""
-    s = decimal_str(abs(t)).zfill(digits + 1)
+    s = str(abs(t)).zfill(digits + 1)
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 

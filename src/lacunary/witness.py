@@ -38,13 +38,13 @@ from .errors import (
     NotFound,
     PrecisionUnattainable,
 )
-from .intmath import (check_power, gated_pow, int_divmod, int_label, lowest_dyadic,
-                      root_sci_string, value_label)
+from .intmath import (check_power, exact_decimal, gated_pow, int_divmod, int_label,
+                      lowest_dyadic, root_sci_string, value_label)
 from .interval import RationalInterval
 from .logenc import ln_int_interval
 from .powercmp import Ordering, PurePower, compare
-from .series import (GUARD_BITS, Convergent, LacunarySeries, certified_digits, deepen,
-                     exponent_after)
+from .series import (BINARY, DECIMAL, GUARD_BITS, Convergent, LacunarySeries, certified_digits,
+                     deepen, exponent_after)
 
 _MARGIN_DIGITS = 8
 
@@ -56,26 +56,29 @@ class Op(enum.Enum):
     QUOTIENT = "quotient"
 
 
-def _product(l1, h1, l2, h2, j):
+def _product(l1, h1, l2, h2, j, grid):
     # h1*h2 = l1*l2 + l1*(h2 - l2) + (h1 - l1)*h2
     p = l1 * l2
-    return p >> j, -(-(p + l1 * (h2 - l2) + (h1 - l1) * h2) >> j)
+    hi = p + l1 * (h2 - l2) + (h1 - l1) * h2
+    return grid.floor_unscale(p, j), -grid.floor_unscale(-hi, j)
 
 
-def _quotient(l1, h1, l2, h2, j):
-    # with l1*2**j = q*l2 + r, floor(l1*2**j / h2) = q + floor((r - q*(h2 - l2)) / h2)
-    # and ceil(h1*2**j / l2) = q + ceil((r + (h1 - l1)*2**j) / l2)
-    q, r = int_divmod(l1 << j, l2)
-    return q + (r - q * (h2 - l2)) // h2, q - (-(r + ((h1 - l1) << j)) // l2)
+def _quotient(l1, h1, l2, h2, j, grid):
+    # with l1*R**j = q*l2 + r, floor(l1*R**j / h2) = q + floor((r - q*(h2 - l2)) / h2)
+    # and ceil(h1*R**j / l2) = q + ceil((r + (h1 - l1)*R**j) / l2)
+    q, r = grid.divmod(grid.scale(l1, j), l2)
+    return (q + grid.divmod(r - q * (h2 - l2), h2)[0],
+            q - grid.divmod(-(r + grid.scale(h1 - l1, j)), l2)[0])
 
 
-# Each op on Fractions, and on [lo, hi] * 2**-j ends with outward
-# rounding (both series are positive).  Each does one full-width multiply
-# or divide: the other end follows from it by products and quotients of
-# the few-unit widths h - l.
+# Each op on Fractions, and on [lo, hi] * R**-j ends on a grid of radix R
+# (`series.BINARY` or `series.DECIMAL`) with outward rounding (both series
+# are positive); the grid supplies the scaling by R**j and the floored
+# division.  Each does one full-width multiply or divide: the other end
+# follows from it by products and quotients of the few-unit widths h - l.
 _APPLY = {
-    Op.SUM: (operator.add, lambda l1, h1, l2, h2, j: (l1 + l2, h1 + h2)),
-    Op.DIFFERENCE: (operator.sub, lambda l1, h1, l2, h2, j: (l1 - h2, h1 - l2)),
+    Op.SUM: (operator.add, lambda l1, h1, l2, h2, j, grid: (l1 + l2, h1 + h2)),
+    Op.DIFFERENCE: (operator.sub, lambda l1, h1, l2, h2, j, grid: (l1 - h2, h1 - l2)),
     Op.PRODUCT: (operator.mul, _product),
     Op.QUOTIENT: (operator.truediv, _quotient),
 }
@@ -124,20 +127,22 @@ def composite_convergent(c: CompositeNumber, n: int) -> Convergent:
     return Convergent(n, f.numerator, f.denominator)
 
 
-def _value_dyadic(c: CompositeNumber, k: int) -> tuple:
-    """The composite value in [lo, hi] * 2**-j, as `LacunarySeries.dyadic`
+def _value_on_grid(c: CompositeNumber, k: int, grid=BINARY) -> tuple:
+    """The composite value in [lo, hi] * R**-j, as `LacunarySeries.on_grid`
     returns it: both series at one precision, combined by the op table."""
     if c.op is Op.QUOTIENT:  # theta2 > g2**-a1: keep its lower end off 0
-        k = max(k, c.schedule.exponent(1) * c.g2.bit_length() + GUARD_BITS)
-    j = min(c.s1.dyadic(k)[2], c.s2.dyadic(k)[2])
-    l1, h1, _, t1, end1 = c.s1.dyadic(j)
-    l2, h2, _, t2, end2 = c.s2.dyadic(j)
-    return (*_APPLY[c.op][1](l1, h1, l2, h2, j), j, max(t1, t2), end1 or end2)
+        k = max(k, grid.places(c.schedule.exponent(1) * c.g2.bit_length() + GUARD_BITS))
+    j = min(c.s1.on_grid(k, grid)[2], c.s2.on_grid(k, grid)[2])
+    l1, h1, _, t1, end1 = c.s1.on_grid(j, grid)
+    l2, h2, _, t2, end2 = c.s2.on_grid(j, grid)
+    with exact_decimal():
+        lo, hi = _APPLY[c.op][1](l1, h1, l2, h2, j, grid)
+    return lo, hi, j, max(t1, t2), end1 or end2
 
 
 def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
-    """|value - p/q| in [lo, hi] * 2**-j, as `_value_dyadic` returns it."""
-    lo, hi, j, terms, end = _value_dyadic(c, k)
+    """|value - p/q| in [lo, hi] * 2**-j, as `_value_on_grid` returns it."""
+    lo, hi, j, terms, end = _value_on_grid(c, k)
     f, r = int_divmod(conv.p << j, conv.q)  # f = floor(p/q * 2**j)
     lo -= f + (r > 0)
     hi -= f
@@ -151,7 +156,7 @@ def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
 def value_enclosure(c: CompositeNumber, depth: int) -> RationalInterval:
     """Interval containing the composite value, at the precision of the
     exact per-series enclosures of `depth` terms."""
-    lo, hi, k, _, _ = _value_dyadic(c, c.s2.depth_bits(depth))  # g2 < g1: the coarser
+    lo, hi, k, _, _ = _value_on_grid(c, c.s2.depth_bits(depth))  # g2 < g1: the coarser
     return RationalInterval.dyadic(lo, hi, k)
 
 
@@ -176,7 +181,7 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     if c.op in (Op.SUM, Op.DIFFERENCE):
         return 2 * tail
     if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
-        h1, h2 = c.s1.dyadic(GUARD_BITS)[1], c.s2.dyadic(GUARD_BITS)[1]
+        h1, h2 = c.s1.on_grid(GUARD_BITS)[1], c.s2.on_grid(GUARD_BITS)[1]
         return tail * Fraction((1 << GUARD_BITS) + h1 + h2, 1 << GUARD_BITS)
     # quotient
     if n < 2:
@@ -449,7 +454,7 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
     m, j = lowest_dyadic(gap_hi, k)  # gap.hi = m/2**j in lowest terms
     ps1 = c.s1.partial_sum(n)
     ps2 = c.s2.partial_sum(n)
-    h2 = c.s2.dyadic(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
+    h2 = c.s2.on_grid(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
     num = gated_pow(m, dv, "gap.hi")
     check_power("gap.hi", dv, j + 1)  # (2**j)**dv, applied as shifts
     q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 1 << (j + 2) * dv
@@ -460,5 +465,6 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
 
 def composite_digits(c: CompositeNumber, digits: int) -> str:
     """Toward-zero decimal expansion of the composite value, certified by
-    enclosure agreement exactly like the per-series version."""
-    return certified_digits(lambda k: _value_dyadic(c, k), digits, c.schedule)
+    enclosure agreement on the decimal grid exactly like the per-series
+    version."""
+    return certified_digits(lambda k: _value_on_grid(c, k, DECIMAL), digits, c.schedule)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -464,11 +465,21 @@ def test_certificate_bytes_do_not_depend_on_the_conversion(monkeypatch, op, n_to
 def test_text_output_does_not_depend_on_the_conversion(monkeypatch, capsys, argv):
     code, fast, _ = run_cli(capsys, *argv)
     assert code == 0
-    for module in (cli, series, measure):
+    for module in (cli, measure):  # digits prints Decimals with str already
         monkeypatch.setattr(module, "decimal_str", str)
     code, slow, _ = run_cli(capsys, *argv)
     same = code == 0 and slow == fast
     assert same
+
+
+def test_a_trapped_decimal_signal_exits_4(monkeypatch, capsys):
+    # a Decimal step that would round on the digits path is an invariant
+    # break: one `internal error:` line and exit 4, never a traceback
+    monkeypatch.setattr(series.DecimalGrid, "inverse_power",
+                        lambda self, g, a, j: Decimal("0.5").to_integral_exact())
+    assert run_cli(capsys, "digits") == (
+        4, "", "internal error: decimal arithmetic signalled Inexact; "
+               "only exact results may print\n")
 
 
 def run_main(capsys, argv):
@@ -608,7 +619,7 @@ def test_enclosure_caches_hold_only_integers(monkeypatch, capsys, code, argv, er
     monkeypatch.setattr(series.LacunarySeries, "__init__", tracked)
     got, _, stderr = run_cli(capsys, *argv)
     assert got == code and stderr.startswith(err)
-    assert len(made) == 2 and any(s._dyadic for s in made)
+    assert len(made) == 2 and any(s._on_grid for s in made)
     for s in made:
-        for entry in s._dyadic.values():
-            assert all(x is None or type(x) is int for x in entry), entry
+        for entry in s._on_grid.values():
+            assert all(x is None or type(x) in (int, Decimal) for x in entry), entry

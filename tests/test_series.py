@@ -1,8 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacunary.errors import (
@@ -199,14 +200,14 @@ def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
     # is bounded from 2*a_5 = 131072, the enclosure stops narrowing there
     # (j = 131072*bits(2) + 64) and reports the index the schedule refused.
     s = make_series(2, budget_bits=20)
-    lo, hi, j, terms, end = s.dyadic(1 << 20)
+    lo, hi, j, terms, end = s.on_grid(1 << 20)
     assert end == 6 and terms == 5
     with pytest.raises(ExponentBudgetExceeded):
         s.schedule.exponent(end)
     assert j == 2 * 131072 + 64 and hi - lo == 5 + (1 << (j - 131071))
     # At 33 bits a_6 = 2**32 is in the budget: its bit length bounds the
     # tail at any precision, and 2**(2**32) is never built.
-    lo, hi, j, terms, end = make_series(2, budget_bits=33).dyadic(1 << 20)
+    lo, hi, j, terms, end = make_series(2, budget_bits=33).on_grid(1 << 20)
     assert end is None and (j, terms, hi - lo) == (1 << 20, 5, 6)
 
 
@@ -229,7 +230,7 @@ def test_enclosures_are_built_once_per_depth():
     s = make_series(3)
     assert s.depth_bits(3) == 253
     assert s.enclose(3) == s.enclose(3)
-    assert list(s._dyadic) == [253] and s.dyadic(253) is s.dyadic(253)
+    assert list(s._on_grid) == [(2, 253)] and s.on_grid(253) is s.on_grid(253)
 
 
 def test_partial_sums_are_built_once_per_index():
@@ -260,7 +261,7 @@ def test_dyadic_enclosure_contains_the_exact_interval(base):
     for a1, beta in DYADIC_SCHEDULES:
         s = make_series(base, a1, beta)
         for k in DYADIC_PRECISIONS:
-            lo, hi, j, terms, end = s.dyadic(k)
+            lo, hi, j, terms, end = s.on_grid(k)
             exps = [s.schedule.exponent(m) for m in range(1, terms + 1)]
             try:
                 e = s.schedule.exponent(terms + 1)
@@ -290,7 +291,7 @@ def test_dyadic_ends_are_the_full_width_quotients(base):
     for budget, e_end in ((10, 512), (20, 131072)):  # e_end = 2*a_M past the budget
         s = make_series(base, budget_bits=budget)
         for k in DYADIC_PRECISIONS + (e_end * b - 2, e_end * b - 1):
-            lo, hi, j, terms, end = s.dyadic(k)
+            lo, hi, j, terms, end = s.on_grid(k)
             exps = [s.schedule.exponent(m) for m in range(1, terms + 1)]
             assert lo == sum((1 << j) // base ** a for a in exps if a * b <= j)
             tail = 1
@@ -307,7 +308,7 @@ def test_dyadic_size_gate_judges_the_whole_base():
     # as 6**a before its odd part 3**a is built
     s = LacunarySeries(6, PowerSchedule(1 << 24, Fraction(1), budget_bits=25))
     with pytest.raises(ExponentBudgetExceeded) as info:
-        s.dyadic(1 << 25)
+        s.on_grid(1 << 25)
     assert str(info.value) == ("6**16777216 would need about 50331648 bits, over the "
                                "33554432-bit materialization cap")
 
@@ -319,17 +320,20 @@ def test_dyadic_enclosure_sums_every_term_inside_the_rule(base):
     b = base.bit_length() - 1
     s = make_series(base)
     for a in (16, 256):
-        assert s.dyadic(a * b - 2)[3] == s.dyadic(a * b - 3)[3] + 1
+        assert s.on_grid(a * b - 2)[3] == s.on_grid(a * b - 3)[3] + 1
 
 
 @settings(deadline=None, max_examples=200)
-@given(lo=st.integers(-(1 << 4000), 1 << 4000), width=st.integers(1, 1 << 8),
-       j=st.integers(1, 4000), digits=st.integers(1, 1300))
+@given(lo=st.integers(-(10 ** 1200), 10 ** 1200), width=st.integers(1, 1 << 8),
+       j=st.integers(1, 1200), digits=st.integers(1, 1300))
+@example(lo=-3, width=5, j=4, digits=3)  # ends across 0, both truncating to 0
+@example(lo=-10 ** 6, width=1, j=3, digits=1)  # an end on a multiple of 10**-digits
 def test_certified_digits_truncate_like_fractions(lo, width, j, digits):
-    # one fixed enclosure [lo, lo + width] * 2**-j, either sign: its digits
-    # are those of both ends' exact toward-zero truncation, or it is refused
-    ends = [int(Fraction(x, 2 ** j) * 10 ** digits) for x in (lo, lo + width)]
-    got = lambda k: (lo, lo + width, j, 1, None)  # noqa: E731
+    # one fixed enclosure [lo, lo + width] * 10**-j on the decimal grid,
+    # either sign: its digits are those of both ends' exact toward-zero
+    # truncation, or it is refused
+    ends = [int(Fraction(x, 10 ** j) * 10 ** digits) for x in (lo, lo + width)]
+    got = lambda k: (Decimal(lo), Decimal(lo + width), j, 1, None)  # noqa: E731
     if ends[0] == ends[1]:
         assert certified_digits(got, digits, None) == format_fixed(ends[0], digits)
     else:

@@ -18,7 +18,8 @@ from lacunary.interval import RationalInterval
 from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
 from lacunary.schedule import PowerSchedule
 from lacunary import witness
-from lacunary.series import Convergent, LacunarySeries, format_fixed
+from lacunary.intmath import exact_decimal
+from lacunary.series import BINARY, DECIMAL, Convergent, LacunarySeries, format_fixed
 from lacunary.witness import (
     CompositeNumber,
     Op,
@@ -30,7 +31,7 @@ from lacunary.witness import (
     gap_bound,
     _APPLY,
     _gap_dyadic,
-    _value_dyadic,
+    _value_on_grid,
     true_gap_enclosure,
     value_enclosure,
     verify_roth_instance,
@@ -101,7 +102,7 @@ def test_value_enclosure_contains_reference_value(op):
 def test_dyadic_value_enclosure_agrees_with_mpmath(op):
     # ends outward-rounded on the 2**-3000 grid, against the five terms
     # up to 2**-65536 summed independently at 4000 bits
-    lo, hi, j, _, end = _value_dyadic(build_example(op), 3000)
+    lo, hi, j, _, end = _value_on_grid(build_example(op), 3000)
     assert end is None and j >= 3000
     v = mp_value(op)
     with mpmath.workprec(4000):
@@ -116,9 +117,9 @@ def test_dyadic_combination_rounds_outward(op):
         sched = PowerSchedule(a1, Fraction(1))
         c = CompositeNumber(op, LacunarySeries(g1, sched), LacunarySeries(g2, sched))
         for k in (8, 9, 63, 64, 65, 200, 1000, 4097):
-            lo, hi, j, _, _ = _value_dyadic(c, k)
-            l1, h1, _, _, _ = c.s1.dyadic(j)
-            l2, h2, _, _, _ = c.s2.dyadic(j)
+            lo, hi, j, _, _ = _value_on_grid(c, k)
+            l1, h1, _, _, _ = c.s1.on_grid(j)
+            l2, h2, _, _, _ = c.s2.on_grid(j)
             x = RationalInterval(Fraction(l1, 2**j), Fraction(h1, 2**j))
             y = RationalInterval(Fraction(l2, 2**j), Fraction(h2, 2**j))
             exact = {Op.SUM: operator.add, Op.DIFFERENCE: operator.sub,
@@ -164,7 +165,7 @@ def test_gap_bound_matches_closed_forms():
                         if op in (Op.SUM, Op.DIFFERENCE):
                             want = Fraction(4, step)
                         elif op is Op.PRODUCT:
-                            h1, h2 = s1.dyadic(64)[1], s2.dyadic(64)[1]
+                            h1, h2 = s1.on_grid(64)[1], s2.on_grid(64)[1]
                             want = Fraction(2 * ((1 << 64) + h1 + h2), step << 64)
                         else:
                             inv_up = g2**a1
@@ -179,7 +180,7 @@ def test_quotient_forms_match_built_powers(g1, g2):
     # the forms compare against shifts where 4**dv * (2**j)**dv was built
     sched = PowerSchedule(2, Fraction(1))
     c = CompositeNumber(Op.QUOTIENT, LacunarySeries(g1, sched), LacunarySeries(g2, sched))
-    h2 = c.s2.dyadic(64)[1]
+    h2 = c.s2.on_grid(64)[1]
     for d in (Fraction(3), Fraction(7, 2), Fraction(13, 4)):
         du, dv = d.numerator, d.denominator
         for n in (2, 3, 4):
@@ -363,9 +364,43 @@ def test_product_and_quotient_ends_match_two_full_operations(l1, w1, l2, w2, j):
     # each op derives one end from the other through the widths; the ends
     # are the integers that two full-width operations give
     h1, h2 = l1 + w1, l2 + w2
-    assert _APPLY[Op.PRODUCT][1](l1, h1, l2, h2, j) == (l1 * l2 >> j, -(-h1 * h2 >> j))
-    assert _APPLY[Op.QUOTIENT][1](l1, h1, l2, h2, j) == ((l1 << j) // h2,
-                                                         -((-h1 << j) // l2))
+    assert _APPLY[Op.PRODUCT][1](l1, h1, l2, h2, j, BINARY) == (l1 * l2 >> j, -(-h1 * h2 >> j))
+    assert _APPLY[Op.QUOTIENT][1](l1, h1, l2, h2, j, BINARY) == ((l1 << j) // h2,
+                                                                 -((-h1 << j) // l2))
+
+
+# Signed ends on either grid: the difference goes negative when theta1 <
+# theta2, and the quotient's correction r - q*(h2 - l2) whenever q*(h2 - l2)
+# > r, which is where a division that truncates toward zero (Decimal's own
+# // and divmod) would round inward.
+SIGNED = st.integers(-(1 << 4000), 1 << 4000)
+
+
+def _floor(x: Fraction) -> int:
+    return x.numerator // x.denominator
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid=st.sampled_from([BINARY, DECIMAL]), l1=SIGNED, w1=WIDTHS, l2=SIGNED, w2=WIDTHS,
+       j=st.integers(0, 1300))
+@example(grid=DECIMAL, l1=7, w1=0, l2=3, w2=2, j=1)  # correction 1 - 23*2 < 0
+@example(grid=DECIMAL, l1=-7, w1=1, l2=3, w2=0, j=1)  # negative quotient
+@example(grid=DECIMAL, l1=-7, w1=0, l2=-3, w2=0, j=1)  # negative product
+def test_every_op_rounds_outward_on_both_grids(grid, l1, w1, l2, w2, j):
+    # each op's ends are the exact floor of its lower combination and the
+    # exact ceiling of its upper one, on the grid radix**-j, at any sign
+    h1, h2 = l1 + w1, l2 + w2
+    unit = Fraction(grid.radix) ** j
+    want = {Op.SUM: (l1 + l2, h1 + h2), Op.DIFFERENCE: (l1 - h2, h1 - l2),
+            Op.PRODUCT: (_floor(l1 * l2 / unit), -_floor(-h1 * h2 / unit))}
+    if l2 > 0:
+        want[Op.QUOTIENT] = (_floor(l1 * unit / h2), -_floor(-h1 * unit / l2))
+    ends = [grid.number(x) for x in (l1, h1, l2, h2)]
+    with exact_decimal():
+        for op, (lo, hi) in want.items():
+            got = _APPLY[op][1](*ends, j, grid)
+            assert all(type(x) is type(ends[0]) for x in got)
+            assert (int(got[0]), int(got[1])) == (lo, hi), op
 
 
 @settings(deadline=None, max_examples=300)
@@ -378,7 +413,7 @@ def test_gap_ends_match_separate_floor_and_ceiling(lo, width, p, q, j):
     hi = lo + width
     up, down = lo - -((-p << j) // q), hi - ((p << j) // q)
     want = (-down, -up) if down < 0 else (0, max(-up, down)) if up < 0 else (up, down)
-    with mock.patch.object(witness, "_value_dyadic", lambda c, k: (lo, hi, j, 1, None)):
+    with mock.patch.object(witness, "_value_on_grid", lambda c, k: (lo, hi, j, 1, None)):
         got = _gap_dyadic(None, SimpleNamespace(p=p, q=q), j)
     assert got == (*want, j, 1, None)
 
@@ -395,6 +430,52 @@ def test_difference_digits_match_fraction_truncation(places):
     ends = [int((NEAR_DIFFERENCE + x) * 10 ** places) for x in (-slack, slack)]
     assume(ends[0] == ends[1])
     assert composite_digits(DIFFERENCE, places) == format_fixed(ends[0], places)
+
+
+_INTERVAL_OPS = {Op.SUM: operator.add, Op.DIFFERENCE: operator.sub,
+                 Op.PRODUCT: operator.mul, Op.QUOTIENT: operator.truediv}
+# the squaring schedule within the default budget: a_5 = 65536, and past it
+# the tail is bounded from 2*a_5
+_SQUARING = (2, 4, 16, 256, 65536)
+# over g**-65536 + 2*g**-131072 for every g >= 2
+_BEYOND_A4 = Fraction(1, 10 ** 19000)
+
+
+def _mp_truncation(v, places):
+    """The toward-zero truncation of v to `places`, or None when v is too
+    near a multiple of 10**-places for the working precision to tell."""
+    scaled = abs(v) * mpmath.mpf(10) ** places
+    t = int(mpmath.floor(scaled))
+    eps = mpmath.mpf(10) ** -30
+    if not eps < scaled - t < 1 - eps:
+        return None
+    return format_fixed(-t if v < 0 else t, places)
+
+
+@settings(deadline=None, max_examples=40)
+@given(g2=st.integers(2, 11), data=st.data(), op=st.sampled_from(list(Op)),
+       places=st.integers(50, 3000))
+def test_digits_agree_with_mpmath_and_the_fraction_bracket(g2, data, op, places):
+    # both series and the composite on the decimal grid, against mpmath at
+    # about 1.2*places + 77 digits and against the exact bracket [S_4, S_4 +
+    # 10**-19000] of each series, combined by exact interval arithmetic
+    g1 = data.draw(st.integers(g2 + 1, 12), label="g1")
+    sched = PowerSchedule(2, Fraction(1))
+    c = CompositeNumber(op, LacunarySeries(g1, sched), LacunarySeries(g2, sched))
+    got = [c.s1.decimal_digits(places), c.s2.decimal_digits(places), composite_digits(c, places)]
+    brackets = []
+    for g in (g1, g2):
+        s4 = sum(Fraction(1, g ** a) for a in _SQUARING[:4])
+        brackets.append(RationalInterval(s4, s4 + _BEYOND_A4))
+    brackets.append(_INTERVAL_OPS[op](*brackets))
+    with mpmath.workprec(4 * places + 256):
+        values = [mpmath.fsum(mpmath.mpf(g) ** -a for a in _SQUARING) for g in (g1, g2)]
+        values.append(_INTERVAL_OPS[op](*values))
+        by_mpmath = [_mp_truncation(v, places) for v in values]
+    for digits, iv, mp_digits in zip(got, brackets, by_mpmath):
+        ends = [int(x * 10 ** places) for x in (iv.lo, iv.hi)]
+        assert ends[0] != ends[1] or digits == format_fixed(ends[0], places)
+        assert mp_digits is None or digits == mp_digits
 
 
 # The certify benchmark's grid (a1 = 2, beta = 1, n 1..4, d = 3).  Its gap
