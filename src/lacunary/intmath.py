@@ -132,10 +132,9 @@ def decimal_str(n: int) -> str:
     split off first and applied as one Decimal product, in the exact
     context.  The memo of powers of two lives for one call.
 
-    `digits` no longer comes here: its enclosures are born on the decimal
-    grid and print with `str`.  What is left are the integers born
-    binary: convergents (`cli`), certificates (`certjson`: convergents,
-    gap ends over 2**k and the gap bound) and the measure denominator.
+    It prints the integers born binary: convergents (`cli`), certificates
+    (`certjson`: convergents, gap ends over 2**k and the gap bound) and
+    the measure denominator.
     A certificate schema that wrote the 2**k and g2**a denominators as
     powers would leave it the convergents, the gap numerators and the
     measure denominator.

@@ -101,7 +101,7 @@ class PowerSchedule:
 
     def known(self) -> tuple:
         """The exponents computed so far, a_1..a_m.  Once the schedule has
-        refused a_{m+1}, m never grows: `certify` and `LacunarySeries.dyadic`
+        refused a_{m+1}, m never grows: `certify` and `LacunarySeries.on_grid`
         read the refused index off its length."""
         return tuple(self._cache)
 

@@ -53,6 +53,10 @@ CASES = [
                  id="validate-exponent-form-beta"),
     pytest.param(["validate", "--beta", "1e-999999999", "--n-to", "1"], 2,
                  id="validate-negative-exponent-beta"),
+    # 9,000,000 places need a decimal grid past the 2**25 / 4 places the
+    # size gate admits: refused before any term is built
+    pytest.param(["digits", "--budget-bits", "33", "--digits", "9000000"], 3,
+                 id="digits-past-decimal-size-gate"),
 ]
 
 

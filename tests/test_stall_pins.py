@@ -9,16 +9,16 @@ pair of bases (2..7 and 10) and schedule, two ops are pinned at the
 largest place count that decides and at one more, which is refused
 (exit 3, or exit 2 when the refused exponent is not an integer), plus a
 few place counts below the edge.  Each case pins sha256 of stdout,
-sha256 of stderr and the exit code, as in `test_pinned_bytes.py`.
+sha256 of stderr and the exit code; the table is `STALL_PINS` in
+`pins.py`.
 
-The pins were taken when `digits` enclosed on the binary grid 2**-k.  It
-now encloses on the decimal grid 10**-K, and the calls in MOVED, refused
-then, decide now: each has a series over base 5 or 10 whose partial sum
-S is a terminating decimal with at most the asked-for places.  The binary
-lower end fell below S, so its truncation parted from the upper end's;
-the decimal grid holds S exactly.  Their pins keep the old bytes, so they
-fail as expected; every call that decides is checked against exact
-Fraction brackets below.
+The pins were first taken when `digits` enclosed on the binary grid
+2**-k.  Thirty of them were refused there and were retaken on the
+decimal grid 10**-K, where they decide: each has a series over base 5
+or 10 whose partial sum S is a terminating decimal with at most the
+asked-for places.  The binary lower end fell below S, so its truncation
+parted from the upper end's; the decimal grid holds S exactly.  Every
+call that decides is checked against exact Fraction brackets below.
 """
 
 import math
@@ -29,534 +29,13 @@ import pytest
 from lacunary.cli import main
 from lacunary.interval import RationalInterval
 from lacunary.series import format_fixed
-from test_pinned_bytes import EMPTY, sha256
-
-STALL_PINS = [
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "307"),
-     "95e4ffdadaa98408ad5f796ed7e37628e09c535244631d6d90d6367a5856df48", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "307"),
-     "1be091357da38de2138d78cff2b4f61d88fb3ab72bd615baab4da1077cc81ecd", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--budget-bits", "4",
-      "--digits", "8"),
-     "30a26ccb7068acc8233b9487758b5cc0f87cfbe65e6ffc715568d02d77a6baaa", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "8"),
-     "b7b0927b92c031ecdaf0575c374d514d65179e31829bf1f0ba1dd8f322ba03a7", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "product", "--budget-bits", "9",
-      "--digits", "153"),
-     "87f7e03b8a89214863b796f1270a3a3e60fede2cf2dd5170da79e250e2a9be9c", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "product", "--budget-bits", "9",
-      "--digits", "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "153"),
-     "437442c00528a184fe4bca224bba9470451f661032518b5a24e95e97d82237d3", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "quotient", "--a1", "4", "--beta", "1/2",
-      "--digits", "1"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "1"),
-     "1b94998a5e75ede2dc48c185b91fe8f1ab290d56e1a73586f390668b70428b4e", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "2"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "153"),
-     "3d955ab82d79fde7e08f800909251fe9b203860e21892b5718a4500fe83dd323", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "154"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "153"),
-     "10110c8b75ed9bfea421c2ce72049e514195208c16f00cbef25d6ee82a7b6305", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "154"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "307"),
-     "19a6e6e06b412ec595a7d065a0e71f7bc190e29211c8072ee6eebc365e228e9f", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "307"),
-     "83c196c07c209a86512443f558e36c318fe558434fb5d8b15056a5d1a34a0272", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "8"),
-     "c19e84a78f729cd62dd38be5dfd8eed4d0bae2d705d70aa57e3a4288b418ba7b", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "8"),
-     "30d97a4550e9603ba4c4cebc63502dbcda877b1f9a16b5533edbb11cbd5007c4", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "153"),
-     "88b76c3f48866bd356a4e5a2751b04d42f7885bf48d7c37b3fd9eea82b595962", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "sum", "--budget-bits", "9", "--digits",
-      "153"),
-     "fa87711a950976cb5f0a2137b01ee15a01066bf80e0b6fb51798e7155e84abb1", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "sum", "--budget-bits", "9", "--digits",
-      "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "1"),
-     "92c46e4001b939e9442866088d806b61176b8879dd0beacd002cb23ceeb4cd39", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "2"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "1"),
-     "ce2f0a8e648469805c35c671325733219efa88f837df2e62e6d4a23198c96a3b", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "2"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "127"),
-     "40700b2640859112c71d4a6d9dc586372955a4fb7f62a23f27e3b8454a536aa1", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "128"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--a1", "16", "--beta", "1/2",
-      "--digits", "153"),
-     "bddc3ed5cdefbe9e3f90871e9ac5a119189a8bd45e7496c74fecab5894475954", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "product", "--a1", "16", "--beta", "1/2",
-      "--digits", "154"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "c0bba55c76ac3a3f9e508cb73c1118f8cfb20bcdc7b0b90057b2b6c256ed3f41", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "17118f29c10af3e414a8874f5f9f2c9b9125db36216db7ce75182c3ce27b04e9", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "15"),
-     "9b7dde5dac92f790df932fba3edfd1c51fffb5d08f2ab4b5a1df295d7d734e4b", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "4", "--digits",
-      "15"),
-     "37da80291dd01f2873e1601151ec73742a4063fc481863b196541b1548ee471b", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "4", "--digits",
-      "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "9", "--digits",
-      "255"),
-     "fa523f0db1456c30772e2a325320a961bf77d030c685e58df2ea8d71f7b93ad4", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "9", "--digits",
-      "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--budget-bits", "9",
-      "--digits", "255"),
-     "b1d960af1d8e4a5e9afc75fef34c49c7b92fbc7cd2313a955fb6038b30dbc82e", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--budget-bits", "9",
-      "--digits", "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "3"),
-     "4633f1c1df467673fe13d34f974f463cfd104aa3b3f50ba365f993671db004a6", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     "7352ec9b433b5cf551d87a7545434d70a0a0ab1a3f20bdd70911077b867d873d", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "16", "--beta", "1/2",
-      "--digits", "63"),
-     "0cd986f1f13fdceb2868b70c15bab08fa9d04f6117062fab104b9b4320ca6ce5", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "16", "--beta", "1/2",
-      "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "3e188d526ad5744e81d16db027195c93cf4392cb7f64a258cae825f8b5befc0d", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "3a8a11e35679a9ed7fca8f9b424dbafd5c7086ad9bca2005372053ce56a7e5a3", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "45d098820814089736b6c947371fab14663ba8793201cc42d769410eea47bb0f", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--budget-bits", "4", "--digits",
-      "15"),
-     "335fbf90c0639a4a5ae1238a51064366a76d3204ce3a92eeb380eadccbb4ac8b", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--budget-bits", "4", "--digits",
-      "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "4",
-      "--digits", "15"),
-     "e646553c2a517975d5e9623c8bf3d193a83a907a7012e60f54a808eff1332879", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "4",
-      "--digits", "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "9",
-      "--digits", "255"),
-     "bc1de137debdb7e31b0b4b2380617c17c7981b0db9673e565453954bca665755", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "9",
-      "--digits", "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "product", "--budget-bits", "9",
-      "--digits", "255"),
-     "07a70ed0e7e7d2b090848fa61c8a0c2f527a1c8645f2bb7095e7247b614f98fc", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "product", "--budget-bits", "9",
-      "--digits", "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     "b0c62ad1d6c763eb0242445050cc9ee0cd9685e5273b7184e1b45f0719012891", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "4", "--beta", "1/2",
-      "--digits", "2"),
-     "033b8a7abc510a5d69f36cb2265dc71822810bc3ffede04c1845c06650bdd084", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "e4660a23ec24a498f5ebf36e65e68234be271b0be02913d6579a91bc13e4a93d", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "63"),
-     "09e43340eef3a9d7b46eec1e93c2c9aba6292e717d5fb95b5f015e8daf9807f9", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "487"),
-     "ceee88d6b7077be881b209703b7420ff0a5b67aec7b8fee559953e145b3dc11a", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "2", "--beta", "2",
-      "--digits", "488"),
-     EMPTY, "632a3382e4ffaec7782f9cb32f4e6401a0801e4d69df4a3c0fbf3d20cdc2ca6f", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "487"),
-     "15098a287e358e65e94fda0da8cb22d790827d6ac07f6e8062fe0951dafbf9cf", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--a1", "2", "--beta", "2",
-      "--digits", "488"),
-     EMPTY, "632a3382e4ffaec7782f9cb32f4e6401a0801e4d69df4a3c0fbf3d20cdc2ca6f", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--budget-bits", "4",
-      "--digits", "13"),
-     "6bcf240de0e3458113ee3113dde25845911dcfb643aee8986ab49c8c07e8d393", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--budget-bits", "4",
-      "--digits", "14"),
-     EMPTY, "d70f0f1a060cd23a2271006c06c5357ca5a53cae98a9bfe9a22259069467bf6f", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "product", "--budget-bits", "4",
-      "--digits", "13"),
-     "45978476db13f877e455b28643bff0a44c5368b8b692fe9590314b5aa1508e44", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "product", "--budget-bits", "4",
-      "--digits", "14"),
-     EMPTY, "d70f0f1a060cd23a2271006c06c5357ca5a53cae98a9bfe9a22259069467bf6f", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "product", "--budget-bits", "9",
-      "--digits", "244"),
-     "176699eb99f5bb4c2ae2641c2c4697662c15325646960af8c3bcf681676f07ab", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "product", "--budget-bits", "9",
-      "--digits", "245"),
-     EMPTY, "aaae2405eccbbcd3e0b488a84c036b418d472d5d5002dcafa4235fb3c4212dfa", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "243"),
-     "f420522da5f2ae95f2851aaf19f311f45acd795de1947b1bccd64a8509d75818", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "244"),
-     EMPTY, "6987d79b4eae28afaed2dcb0d1a5443973f514350674bbcb69f2e5bcebcd7eac", 3),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "quotient", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     "d025b168650a0b4d78cb74f655e33a5de35969f91c5625914d26b74a036c85b9", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "quotient", "--a1", "4", "--beta", "1/2",
-      "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     "38ebaf9fd1d015b8257e5acb68832449f627d2452690194563530c5742ca7e50", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "243"),
-     "d3b220327fc6395e3467f086c11a26ec9d1a6f9dbe05f5679ba31a15b2ed3555", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "sum", "--a1", "16", "--beta", "1/2",
-      "--digits", "244"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "243"),
-     "73dd3ffff54cbe95ccd46f639633068885224388643c21b8bb9324514a88255c", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "244"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "2", "--beta",
-      "2", "--digits", "307"),
-     "908d84468e0148605f4d14a7657dfa5c07f510856321cd4a2888abd1e11920e0", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "2", "--beta",
-      "2", "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "307"),
-     "a9f9dbaba3aa66d124bb76e5c1107c0586edc6d7e1c74d7be2de310167a4db07", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "308"),
-     EMPTY, "d8cfae50fe58e63cbb9843cdca635b779f41ad7afc7abf314bccc8fa606d2ea2", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "8"),
-     "6d6bc191e0ed1154b94b337de892dee2be69f21d78a9da9f2d2ff25129ddbc74", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "8"),
-     "336013d1831767b90815dfd0b3bc3dcac1e31da1b81f1a9917ed43ada702fd63", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "9"),
-     EMPTY, "ad11ac7b94dc433bc892347a5b7cf53b8209e991d61df4c62dec831e74896679", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "153"),
-     "31e7ef1281e0798964dc438be28135e0748466848b5db18f81c64692df92b0b1", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "quotient", "--budget-bits", "9",
-      "--digits", "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "sum", "--budget-bits", "9", "--digits",
-      "153"),
-     "9e118481068002d882d2694bef99b9d59abf5cc42eafdb7c0ed47d89feeaf5db", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "sum", "--budget-bits", "9", "--digits",
-      "154"),
-     EMPTY, "fb1f893c253af6da8dd78e3433d23f689a8528ab9c502db4248ce732a676ed4f", 3),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "1"),
-     "3475cf41fcf5b18c9bd6f2b34bfe9fbd253131befb69a780b2f67fff699797a6", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "sum", "--a1", "4", "--beta", "1/2",
-      "--digits", "2"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "1"),
-     "1090d2c66d1cf2578b145a752bb4f5e577415beda6858dcc45ce64e192ef3e58", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "2"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "7093878fd91001fcf9202f64e48dbaf9b24daaca80ca9fc1fa5c0f89e33f73af", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "difference", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "461339ddb83b25074679be07cf236954b3bf36d8eed98029e700c40750e3c95c", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "2", "--op", "product", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "04875fe8f61fbf3be4d81b2bab82637638fa0c45095a0d7dadb4c2175c6ff147", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "511"),
-     "a3ac06800bd120ddf154f6e59589986cfec17847e45e789f52931c52f8062423", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "512"),
-     EMPTY, "2e7a127d162ca5ca79dc2713ac7c0b694b46aa6503346ed9fd08378f990a7115", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "15"),
-     "104aed86e67e425d9c68c85f28a7525aaca7ecbd0169114b317ac1d2ed3d05e0", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--budget-bits", "4",
-      "--digits", "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "4", "--digits",
-      "15"),
-     "47bb4645bcbd2a4fa1f7fced863485ef8b2b7e69882b13b1b2ab23cf21a2e3d4", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "4", "--digits",
-      "16"),
-     EMPTY, "351823f69635e76f8a4184458b8002328bdc18be14db8d79f34141703fcce534", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "9", "--digits",
-      "255"),
-     "ca9edc5e73c558c71eb9b18882cf275c4515afcdd72cced671ca493d8eeed019", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "9", "--digits",
-      "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--budget-bits", "9",
-      "--digits", "255"),
-     "df83803162ff6745be17c7f7a75449aed9e3d38194ce577a5b54597129f3fa88", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--budget-bits", "9",
-      "--digits", "256"),
-     EMPTY, "414ca88d54cad4c874edf9b1ba931c1bf23555ba95944f70b9d8d2b26971377a", 3),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "3"),
-     "ba8486fcc9173bcac9b3edc4b34943b9f1c84f09d712e9ede28d55dd213e6d5a", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--a1", "4", "--beta",
-      "1/2", "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "3"),
-     "c2b1c679b5d37e4afbb8bd8dbb9ff96659fd97d053de95934599c53fc5d44740", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "4", "--beta", "1/2",
-      "--digits", "4"),
-     EMPTY, "768484ac406ecfdeacca5a83d22352770865bc11134c00beaefe73bb7652b394", 2),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "c425f8c77859c869c9693250096a75e7f758c8b2ecd0682ceeb40178d41bd56d", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "63"),
-     "e3467fe802e0416aa335781d259a28b96ba3c39f7597f8b94a716b06040470fe", EMPTY, 0),
-    (("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "16", "--beta",
-      "1/2", "--digits", "64"),
-     EMPTY, "c05603e3bc7b060ef13e6671b76bca0a8a8b9f8ab6a75fc1ce56e42771234615", 2),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "40"),
-     "4ec281f14c2defb9f2b14c5fd8ffe668f2d8c941e5429d03348dbc9724910341", EMPTY, 0),
-    (("digits", "--g1", "3", "--g2", "2", "--op", "difference", "--budget-bits", "9",
-      "--digits", "60"),
-     "6181c99cbf52345b81bfe58a4cdbd225baa946ea2f07856179f23060c78a9964", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "40"),
-     "2e7df641b61453fe94c14cd6c78722eaccc438ecb05dadeb5140df43e5ba52e1", EMPTY, 0),
-    (("digits", "--g1", "4", "--g2", "2", "--op", "difference", "--budget-bits", "9",
-      "--digits", "60"),
-     "5dd3791a8f87b7ff7347e88a8098cf05827fbb8904c2dfed44038fbc55ab1efc", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "40"),
-     "b6fbba3052ac2efc84b829a79e27c038512feeb7ba6548e6e121b3ec3e55633c", EMPTY, 0),
-    (("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--budget-bits", "9",
-      "--digits", "60"),
-     "cdfc182f9c4ed197ab9f105848014b7ecad6ff7ab5607f7a7f97519d3c5c124d", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "40"),
-     "0968dcae8ffab060aecb328cd08a503e6f05d0ec0ca419e39b95060c8f8620b8", EMPTY, 0),
-    (("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "9",
-      "--digits", "60"),
-     "f34e577706373d16ceee13e8e7d284e26beba967a11223d46badb0454057c144", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "quotient", "--a1", "2", "--beta", "2",
-      "--digits", "40"),
-     "43b8297b5df70b0eac48991dfdc93f1d18795159773ffaa5e3e9b01f13636681", EMPTY, 0),
-    (("digits", "--g1", "7", "--g2", "3", "--op", "difference", "--budget-bits", "9",
-      "--digits", "60"),
-     "7a13d90a74057792346b25572eabc137dc7fc03db79882ff7b9794b7543125db", EMPTY, 0),
-]
+from pins import STALL_PINS, run
 
 
-# Refused by the binary grid, decided by the decimal one (see the module
-# docstring).
-MOVED = {
-    ("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "2", "--beta", "2",
-     "--digits", "512"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "2", "--beta", "2",
-     "--digits", "512"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--budget-bits", "4", "--digits",
-     "16"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "4", "--digits",
-     "16"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "sum", "--budget-bits", "9", "--digits",
-     "256"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--budget-bits", "9",
-     "--digits", "256"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "difference", "--a1", "4", "--beta", "1/2",
-     "--digits", "4"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "4", "--beta", "1/2",
-     "--digits", "4"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "product", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "5", "--g2", "4", "--op", "quotient", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "2", "--beta", "2",
-     "--digits", "512"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "2", "--beta", "2", "--digits",
-     "512"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--budget-bits", "4", "--digits",
-     "16"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "4",
-     "--digits", "16"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "difference", "--budget-bits", "9",
-     "--digits", "256"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "product", "--budget-bits", "9", "--digits",
-     "256"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "product", "--a1", "4", "--beta", "1/2",
-     "--digits", "4"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "quotient", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "6", "--g2", "5", "--op", "sum", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "10", "--g2", "2", "--op", "product", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "2", "--beta", "2",
-     "--digits", "512"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "2", "--beta", "2",
-     "--digits", "512"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--budget-bits", "4", "--digits",
-     "16"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "4", "--digits",
-     "16"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "sum", "--budget-bits", "9", "--digits",
-     "256"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--budget-bits", "9",
-     "--digits", "256"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "difference", "--a1", "4", "--beta", "1/2",
-     "--digits", "4"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "4", "--beta", "1/2",
-     "--digits", "4"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "product", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-    ("digits", "--g1", "10", "--g2", "7", "--op", "quotient", "--a1", "16", "--beta", "1/2",
-     "--digits", "64"),
-}
-
-
-@pytest.mark.parametrize(
-    "argv, stdout_sha, stderr_sha, code",
-    [pytest.param(*pin, marks=pytest.mark.xfail(strict=True, reason="decided on the decimal grid"))
-     if pin[0] in MOVED else pin for pin in STALL_PINS],
-    ids=[" ".join(p[0][1:]) for p in STALL_PINS])
-def test_stall_edge_bytes_are_pinned(capsys, argv, stdout_sha, stderr_sha, code):
-    got = main(list(argv))
-    out, err = capsys.readouterr()
-    assert (sha256(out), sha256(err), got) == (stdout_sha, stderr_sha, code)
+@pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", STALL_PINS,
+                         ids=[" ".join(p[0][1:]) for p in STALL_PINS])
+def test_stall_edge_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
+    assert run(argv) == (stdout_sha, stderr_sha, code)
 
 
 _OPS = {"sum": RationalInterval.__add__, "difference": RationalInterval.__sub__,
@@ -583,7 +62,7 @@ def _bracket(g: int, a1: int, beta: Fraction, budget_bits: int) -> RationalInter
     return RationalInterval(s, s + Fraction(g, (g - 1) * g ** e))
 
 
-DECIDED = [p[0] for p in STALL_PINS if p[3] == 0 or p[0] in MOVED]
+DECIDED = [p[0] for p in STALL_PINS if p[3] == 0]
 
 
 @pytest.mark.parametrize("argv", DECIDED, ids=[" ".join(argv[1:]) for argv in DECIDED])
