@@ -307,8 +307,8 @@ def _emit(text: str, out: Optional[str]) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise InvalidConfigError("out", f"cannot write {out}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InvalidConfigError("out", f"cannot write {value_label(out)}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except (ExponentBudgetExceeded, PrecisionUnattainable, InsufficientDepth) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (InternalError, AssertionError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -177,17 +177,14 @@ def introot(n: int, k: int) -> tuple[int, bool]:
         return n, True
     if k >= n.bit_length():  # 2**k > n: the root is 1, and 1**k != n
         return 1, False
-    # Newton iteration on integers, seeded one bit high so it descends.
+    # Integer Newton from x = 2**ceil(bits/k) > r = floor(n**(1/k)): every step
+    # gives y >= r (AM-GM, then floor), and y < x while x > r, so it stops at r.
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             break
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
     return x, x ** k == n
 
 
@@ -302,7 +299,7 @@ def root_sci_string(n: int, k: int, v: int, sig: int) -> str:
     digits, _ = introot(_floor_times_pow10(n, k, v * (sig - 1 - e)), v)
     s = str(digits)
     if len(s) != sig:
-        raise AssertionError(
+        raise InternalError(
             f"decade normalization failed for {int_label(n)} * 2**-{k} (got {s!r})")
     mantissa = s[0] + ("." + s[1:] if sig > 1 else "")
     return f"{mantissa}e{e:+d}"

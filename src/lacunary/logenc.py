@@ -100,13 +100,10 @@ def ln_int_interval(b: int, prec: int) -> tuple[int, int]:
     return lo + shift * l2_lo, hi + shift * l2_hi
 
 
-def ln_fraction_interval(x, prec: int) -> tuple[int, int]:
-    """Enclosure of ln(x) for a positive rational x (an int or a Fraction)
-    of any magnitude."""
-    if x <= 0:
-        raise ValueError(f"ln_fraction_interval needs x > 0, got {x}")
-    num_lo, num_hi = ln_int_interval(x.numerator, prec)
-    den_lo, den_hi = ln_int_interval(x.denominator, prec)
+def ln_fraction_interval(num: int, den: int, prec: int) -> tuple[int, int]:
+    """Enclosure of ln(num/den) for integers num, den >= 1 of any size."""
+    num_lo, num_hi = ln_int_interval(num, prec)
+    den_lo, den_hi = ln_int_interval(den, prec)
     return num_lo - den_hi, num_hi - den_lo
 
 
@@ -119,7 +116,7 @@ def ln_of_interval(iv, prec: int) -> tuple[int, int]:
     """
     if iv.lo <= 0:
         raise ValueError("ln_of_interval needs a strictly positive interval")
-    lo = ln_fraction_interval(iv.lo, prec)
+    lo = ln_fraction_interval(iv.lo.numerator, iv.lo.denominator, prec)
     if iv.hi == iv.lo:
         return lo
-    return lo[0], ln_fraction_interval(iv.hi, prec)[1]
+    return lo[0], ln_fraction_interval(iv.hi.numerator, iv.hi.denominator, prec)[1]

@@ -138,16 +138,14 @@ def validate_growth(s: PowerSchedule, w: GrowthWindow, n_max: int) -> List[Growt
 
     a_{n+1} = a_n**(1+beta) exactly and a_n >= 2, so a_n**alpha <= a_{n+1}
     iff alpha <= 1+beta, and a_{n+1} < a_n**(k*alpha) iff 1+beta < k*alpha.
-    a_{n+1} is still built for each n, so an index the schedule cannot
-    reach is refused as it is everywhere else.  n_max = 0 returns an empty
-    report (vacuous pass).
+    a_{n_max+1} is still built, and the schedule extends in index order, so
+    the first index it cannot reach is refused as it is everywhere else.
+    n_max = 0 returns an empty report (vacuous pass).
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise InvalidConfigError("n_max", f"must be a nonnegative integer, got {n_max!r}")
     step = 1 + s.beta
     lower_ok, upper_ok = w.alpha <= step, step < w.k * w.alpha
-    report = []
-    for n in range(1, n_max + 1):
-        s.exponent(n + 1)
-        report.append(GrowthCheck(n, lower_ok, upper_ok))
-    return report
+    if n_max:
+        s.exponent(n_max + 1)
+    return [GrowthCheck(n, lower_ok, upper_ok) for n in range(1, n_max + 1)]

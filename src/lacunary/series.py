@@ -156,8 +156,6 @@ class LacunarySeries:
         """a_n, once the schedule has it and base**a_n passes the size gate:
         the one check that decides whether `partial_sum(n)` is refused, and
         with which error, before anything is built."""
-        if not isinstance(n, int) or n < 1:
-            raise InvalidConfigError("n", f"index must be a positive integer, got {n!r}")
         a_n = self.schedule.exponent(n)
         check_power(self.base, a_n, self.base.bit_length())
         return a_n
@@ -290,9 +288,11 @@ def certified_digits(enclose, digits: int, schedule: PowerSchedule) -> str:
     k = digits * 3322 // 1000 + GUARD_BITS + 1
     with exact_decimal(), contextlib.suppress(ExponentBudgetExceeded):
         for lo, hi, j, _, _ in deepen(lambda k: enclose(DECIMAL.places(k)), k, schedule):
+            if j <= digits:  # a grid no finer than 10**-digits: hi > lo truncate apart
+                continue
             t = [x.scaleb(digits - j).to_integral_value(rounding=decimal.ROUND_DOWN)
                  for x in (lo, hi)]
-            if t[0] == t[1]:  # only if j > digits, as hi > lo: t has exponent 0
+            if t[0] == t[1]:  # t has exponent 0
                 return format_fixed(t[0], digits)
     raise PrecisionUnattainable(
         f"no enclosure tight enough for {digits} decimal places within the configured budgets")

@@ -41,7 +41,7 @@ from .errors import (
 from .intmath import (check_power, exact_decimal, gated_pow, int_divmod, int_label,
                       lowest_dyadic, root_sci_string, value_label)
 from .interval import RationalInterval
-from .logenc import ln_int_interval
+from .logenc import ln_fraction_interval, ln_int_interval
 from .powercmp import Ordering, PurePower, compare
 from .series import (BINARY, DECIMAL, GUARD_BITS, Convergent, LacunarySeries, certified_digits,
                      deepen, exponent_after)
@@ -304,14 +304,6 @@ def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     return _exponent_interval((lo, hi, k), conv.q, 64 * depth)
 
 
-def _ln_dyadic(n: int, k: int, prec: int) -> tuple:
-    # ln(m) - ln(2**j) for n * 2**-k = m/2**j in lowest terms: the
-    # enclosure ln_fraction_interval gives for Fraction(n, 2**k)
-    m, j = lowest_dyadic(n, k)
-    num, den = ln_int_interval(m, prec), ln_int_interval(1 << j, prec)
-    return num[0] - den[1], num[1] - den[0]
-
-
 def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
     lo, hi, k = gap  # the gap is [lo, hi] * 2**-k
     if lo <= 0:
@@ -320,9 +312,11 @@ def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
     den = ln_int_interval(q, prec)
     if den[0] <= 0:
         raise InternalError(f"log enclosure of q={q} is not positive")
-    # -ln(gap) = [-(upper ln of hi), -(lower ln of lo)]; all logs are on
-    # one grid 2**-(prec + 16), so its scale cancels in the quotient
-    num = RationalInterval(-_ln_dyadic(hi, k, prec)[1], -_ln_dyadic(lo, k, prec)[0])
+    # -ln(gap) = [-(upper ln of hi), -(lower ln of lo)], ends in lowest terms; all
+    # logs are on one grid 2**-(prec + 16), so its scale cancels in the quotient
+    (m_lo, j_lo), (m_hi, j_hi) = lowest_dyadic(lo, k), lowest_dyadic(hi, k)
+    num = RationalInterval(-ln_fraction_interval(m_hi, 1 << j_hi, prec)[1],
+                           -ln_fraction_interval(m_lo, 1 << j_lo, prec)[0])
     return num / RationalInterval(*den)
 
 

@@ -2,8 +2,6 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from lacunary import CompositeNumber, LacunarySeries, Op, PowerSchedule
 
 
@@ -19,12 +17,3 @@ def build_example(op: Op = Op.SUM, budget_bits: int = 20) -> CompositeNumber:
     sched = PowerSchedule(2, Fraction(1), budget_bits=budget_bits)
     return CompositeNumber(op, LacunarySeries(3, sched), LacunarySeries(2, sched))
 
-
-@pytest.fixture
-def example_sum() -> CompositeNumber:
-    return build_example(Op.SUM)
-
-
-@pytest.fixture
-def example_schedule() -> PowerSchedule:
-    return PowerSchedule(2, Fraction(1))

@@ -12,7 +12,7 @@ import pytest
 import lacunary
 from lacunary import (CompositeNumber, LacunarySeries, PowerSchedule, __version__, certjson,
                       cli, measure, series)
-from lacunary.certjson import certificate_document, dumps, loads
+from lacunary.certjson import certificate_document, dumps
 from lacunary.errors import InvalidConfigError
 from lacunary.cli import main
 from lacunary.witness import Op, certify, gap_bound
@@ -101,21 +101,6 @@ def test_witness_embeds_schedule_failure(capsys):
     assert any(r["error"] for r in doc["records"])
 
 
-def test_witness_deterministic_and_roundtrip(tmp_path):
-    outs = []
-    for name in ("a.json", "b.json"):
-        path = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "lacunary", "witness", "--out", str(path)],
-            capture_output=True, text=True, env=CLI_ENV)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-    # reparse and re-serialize: byte identical
-    assert dumps(loads(outs[0].decode())).encode() == outs[0]
-    assert outs[0].endswith(b"\n")
-
-
 def test_measure_report_height_three(capsys):
     code, out, _ = run_cli(capsys, "measure", "--height", "3")
     assert code == 0
@@ -193,6 +178,17 @@ def test_config_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "digits", "--config", str(tmp_path / "missing.json"))[0] == 2
 
 
+@pytest.mark.parametrize("doc,err", [
+    ([1], "config: top level must be a JSON object"),
+    ({"g1": True}, "g1: expected an integer, got True"),
+    ({"beta": 0.5}, 'beta: expected an exact rational like "5/2", got 0.5'),
+])
+def test_config_values_of_the_wrong_json_type(tmp_path, capsys, doc, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(capsys, "digits", "--config", str(cfg)) == (2, "", f"config error: {err}\n")
+
+
 def test_config_file_with_two_bad_flags_refuses_the_first_key(tmp_path, capsys):
     # flags apply in RunConfig's field order, after the file: g1 before
     # beta, whatever their order on the command line
@@ -218,6 +214,16 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("config error: out: cannot write")
     assert not path.exists()
+
+
+def test_out_with_a_nul_byte_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "a\u0000b"}))
+    code, out, err = run_cli(capsys, "convergents", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: out: cannot write")
+    assert "\0" not in err and err.count("\n") == 1
 
 
 def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys):
@@ -374,10 +380,14 @@ def test_measure_huge_degree_exits_3():
 
 
 def test_digits_out_of_reach_exits_3():
-    proc = run_module("digits", "--digits", "3000000")
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == ("budget error: no enclosure tight enough for 3000000 decimal "
-                           "places within the configured budgets\n")
+    # the default schedule stops at a_5, so every grid is coarser than
+    # 10**-digits and no end is scaled by 10**digits, which past 2**63
+    # places would leave the decimal exponent range
+    for digits in ("3000000", "9223372036854775808", "1180591620717411303424"):
+        proc = run_module("digits", "--digits", digits)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (f"budget error: no enclosure tight enough for {digits} decimal "
+                               "places within the configured budgets\n")
 
 
 def test_digits_past_a_huge_second_exponent():

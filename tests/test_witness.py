@@ -498,8 +498,10 @@ def test_exponent_interval_matches_the_fraction_route(op, g1, g2):
         # -ln(gap)/ln(q) as it was computed from the Fraction ends
         prec = 64 * r.roth.depth
         unit = Fraction(1, 2 ** (prec + _GUARD))
-        ln_gap = RationalInterval(ln_fraction_interval(Fraction(lo, 2**k), prec)[0] * unit,
-                                  ln_fraction_interval(Fraction(hi, 2**k), prec)[1] * unit)
+        f_lo, f_hi = Fraction(lo, 2**k), Fraction(hi, 2**k)
+        ln_gap = RationalInterval(
+            ln_fraction_interval(f_lo.numerator, f_lo.denominator, prec)[0] * unit,
+            ln_fraction_interval(f_hi.numerator, f_hi.denominator, prec)[1] * unit)
         den = ln_int_interval(r.convergent.q, prec)
         assert r.exponent_interval == -ln_gap / RationalInterval(den[0] * unit, den[1] * unit)
     assert reduced_ends > 0
