@@ -8,8 +8,10 @@ arithmetic; no float enters this module at all.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import sys
+import threading
 from fractions import Fraction
 
 from .errors import ExponentBudgetExceeded, InternalError
@@ -122,6 +124,57 @@ class exact_decimal:
                                 "only exact results may print") from exc
 
 
+class _Pow2Table:
+    """Decimal(2**w) by w, for decimal_str, kept for the life of the
+    process: the certificates of one schedule print the same and nearby
+    powers of two.  `keys` is the sorted key list of `values` and `bits`
+    the keys' sum.  `lock` is held by a whole conversion; Decimal
+    arithmetic holds the interpreter lock, so threads lose no parallelism
+    by it.
+    """
+
+    __slots__ = ("values", "keys", "bits", "lock")
+
+    def __init__(self):
+        self.values = {}
+        self.keys = []
+        self.bits = 0
+        self.lock = threading.Lock()
+
+    def clear(self):
+        self.values.clear()
+        self.keys.clear()
+        self.bits = 0
+
+    def two_to(self, w: int) -> decimal.Decimal:
+        """Decimal(2**w) by the rule decimal_str states, run with `lock`
+        held and in the exact context."""
+        r = self.values.get(w)
+        if r is not None:
+            return r
+        if w <= _LEAF_BITS:
+            r = decimal.Decimal(1 << w)
+        else:
+            i = bisect.bisect_left(self.keys, w)
+            near = self.keys[i - 1] if i else None
+            if near is not None and w - near <= _LEAF_BITS // 4:
+                r = self.values[near] * decimal.Decimal(1 << (w - near))
+            else:
+                r = self.two_to(w >> 1) * self.two_to(w - (w >> 1))
+        cap = 2 * MATERIALIZE_BITS
+        if w > cap:
+            return r
+        if self.bits + w > cap:
+            self.clear()
+        self.values[w] = r
+        bisect.insort(self.keys, w)
+        self.bits += w
+        return r
+
+
+_POW2 = _Pow2Table()
+
+
 def decimal_str(n: int) -> str:
     """str(n), in subquadratic time for huge n.
 
@@ -130,7 +183,11 @@ def decimal_str(n: int) -> str:
     decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
     algorithm, CPython 3.12's Lib/_pylong.py).  The factor 2**z of n is
     split off first and applied as one Decimal product, in the exact
-    context.  The memo of powers of two lives for one call.
+    context.  Every power of two comes from the one process-wide table
+    _POW2: an entry it holds is reused, a new 2**w within _LEAF_BITS // 4
+    bits above its largest key w' <= w is one product 2**w' * 2**(w - w'),
+    and it is cleared whole before its keys would total over
+    2 * MATERIALIZE_BITS bits (a wider 2**w is not kept).
 
     It prints the integers born binary: convergents (`cli`), certificates
     (`certjson`: convergents, gap ends over 2**k and the gap bound) and
@@ -142,17 +199,7 @@ def decimal_str(n: int) -> str:
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)
     D = decimal.Decimal
-    pow2 = {}
-
-    def two_to(w):
-        r = pow2.get(w)
-        if r is None:
-            if w <= _LEAF_BITS:
-                r = D(1 << w)
-            else:
-                r = two_to(w >> 1) * two_to(w - (w >> 1))
-            pow2[w] = r
-        return r
+    two_to = _POW2.two_to
 
     def rebuild(m, w):  # Decimal(m) for 0 <= m < 2**w
         if w <= _LEAF_BITS:
@@ -161,7 +208,7 @@ def decimal_str(n: int) -> str:
         hi = m >> h
         return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * two_to(h)
 
-    with exact_decimal():
+    with _POW2.lock, exact_decimal():
         m = abs(n)
         z = (m & -m).bit_length() - 1
         odd = m >> z

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lacunary import certjson, intmath
+from lacunary import certjson, cli, intmath
 from lacunary.errors import ExponentBudgetExceeded
 from lacunary.intmath import (
     _DIV_LIMIT,
@@ -82,6 +84,132 @@ def test_decimal_str_matches_str():
         if decimal_str(n) != want or n and decimal_str(-n) != "-" + want:
             wrong.append(n.bit_length())
     assert wrong == []
+
+
+@pytest.fixture
+def cold_pow2():
+    """decimal_str's table of powers of two, emptied before and after."""
+    intmath._POW2.clear()
+    yield intmath._POW2
+    intmath._POW2.clear()
+
+
+def _pow2_path(table, w):
+    """How table.two_to(w) is to get 2**w, read from the table as it
+    stands: ("hit", 0), ("leaf", 0), or ("near", d) or ("halve", d) for d
+    = w minus the largest key below w (None if no key is below w)."""
+    if w in table.values:
+        return "hit", 0
+    if w <= _LEAF_BITS:
+        return "leaf", 0
+    below = [k for k in table.keys if k < w]
+    d = w - below[-1] if below else None
+    return ("near" if d is not None and d <= _LEAF_BITS // 4 else "halve"), d
+
+
+def _record_paths(monkeypatch):
+    """Make every _Pow2Table.two_to call append (path, d, the number of
+    two_to calls it made itself) to the returned list."""
+    real = intmath._Pow2Table.two_to
+    seen = []
+
+    def spy(table, w):
+        path = _pow2_path(table, w)
+        i = len(seen)
+        seen.append(None)
+        r = real(table, w)
+        seen[i] = (*path, len(seen) - i - 1)
+        return r
+
+    monkeypatch.setattr(intmath._Pow2Table, "two_to", spy)
+    return seen
+
+
+def test_decimal_str_reuses_and_derives_powers_of_two(cold_pow2, monkeypatch):
+    # far-apart pairs 2**w, 2**(w+d) for d = 1, 1024 and 1025, odd
+    # multiples of a leaf power and of table powers, each twice, in a
+    # seeded shuffled order; the table is cleared once on the way
+    rng = random.Random(20261019)
+    odd = rng.getrandbits(40_000) | 1 << 39_999 | 1
+    ns = []
+    for i, base in enumerate(range(50_000, 170_000, 10_000)):
+        ns += [1 << base, 1 << base + (1, 1024, 1025)[i % 3]]
+    ns += [odd << z for z in (0, 3, _LEAF_BITS, 70_000, 70_512)]
+    ns += [rng.getrandbits(40) << z | 1 << z for z in (60_001, 90_700)]
+    ns = ns * 2 + ["clear"]
+    rng.shuffle(ns)
+    seen = _record_paths(monkeypatch)
+    wrong = []
+    for n in ns:
+        if n == "clear":
+            cold_pow2.clear()
+        elif decimal_str(n) != str(n):
+            wrong.append(n.bit_length())
+    assert wrong == []
+    assert 0 < ns.index("clear") < len(ns) - 1
+    paths = {(path, d) for path, d, _ in seen}
+    assert {("hit", 0), ("leaf", 0), ("near", 1), ("near", 1024), ("halve", 1025)} <= paths
+    # a hit, a leaf and a nearest-key product make no further two_to call
+    assert {made for path, _, made in seen if path != "halve"} == {0}
+    assert min(made for path, _, made in seen if path == "halve") >= 2
+
+
+def test_pow2_table_stays_under_its_bound(cold_pow2, monkeypatch):
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", 1 << 17)
+    cap = 2 * intmath.MATERIALIZE_BITS
+    decimal_str(2**STR_CUTOVER_BITS - 1)
+    decimal_str(-(3 << STR_CUTOVER_BITS - 2))
+    assert cold_pow2.keys == [] and cold_pow2.values == {}
+    widths = [40_000, 61_000, 83_000, 99_000, 120_000, 41_000, 130_000, cap + 1]
+    assert sum(widths) > cap
+    cleared = False
+    for w in widths:
+        before = set(cold_pow2.keys)
+        assert decimal_str(1 << w) == str(1 << w)
+        assert decimal_str(5 << w) == str(5 << w)
+        cleared = cleared or not before <= set(cold_pow2.keys)
+        assert cold_pow2.keys == sorted(cold_pow2.values)
+        assert cold_pow2.bits == sum(cold_pow2.keys) <= cap
+    assert cleared and cap + 1 not in cold_pow2.values
+
+
+def test_pow2_table_is_shared_by_threads(cold_pow2):
+    ws = [65_533 + 37 * i for i in range(30)] + [104_512, 70_000]
+    results, failures = {}, []
+
+    def work(seed):  # threads 0, 1 and threads 2, 3 share an order
+        order = ws[:]
+        random.Random(seed // 2).shuffle(order)
+        try:
+            for w in order:
+                results[seed, w] = decimal_str(1 << w)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(results) == 4 * len(ws)
+    assert all(got == str(1 << w) for (_, w), got in results.items())
+    assert len(cold_pow2.keys) == len(set(cold_pow2.keys))
+    assert cold_pow2.keys == sorted(cold_pow2.values)
+
+
+def test_witness_bytes_do_not_depend_on_the_table(cold_pow2, capsys):
+    assert cli.main(["witness"]) == 0
+    cold = capsys.readouterr()
+    assert cold_pow2.keys
+    assert cli.main(["witness"]) == 0
+    assert capsys.readouterr() == cold
 
 
 def test_introot_edge_cases():
