@@ -9,6 +9,7 @@ arithmetic; no float enters this module at all.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import decimal
 import sys
 import threading
@@ -95,33 +96,28 @@ def value_label(value) -> str:
 
 # Unbounded precision and exponent range, so that no result is rounded;
 # every signal that a rounding or an undefined result raises is trapped.
-# Its flags are never read, so threads may share it.
+# `exact_decimal` runs its body in a copy, so this one is never changed.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero])
 
 
-class exact_decimal:
-    """Context manager: run the body in the one exact Decimal context.  A
-    trapped signal is an InternalError: a rounded digit must never print.
+@contextlib.contextmanager
+def exact_decimal():
+    """Run the body in the one exact Decimal context.  A trapped signal is
+    an InternalError: a rounded digit must never print.
 
     Only integer-valued steps belong here (+, -, *, //, divmod, ** with a
     natural exponent, scaleb, to_integral_value).  libmpdec sizes a true
     division by the precision, so an inexact `/` in this context raises
     MemoryError before it can signal Inexact.
     """
-
-    __slots__ = ("_saved",)
-
-    def __enter__(self):
-        self._saved = decimal.getcontext()
-        decimal.setcontext(_EXACT)
-
-    def __exit__(self, kind, exc, tb):
-        decimal.setcontext(self._saved)
-        if isinstance(exc, decimal.DecimalException):
-            raise InternalError(f"decimal arithmetic signalled {kind.__name__}; "
-                                "only exact results may print") from exc
+    try:
+        with decimal.localcontext(_EXACT):
+            yield
+    except decimal.DecimalException as exc:
+        raise InternalError(f"decimal arithmetic signalled {type(exc).__name__}; "
+                            "only exact results may print") from exc
 
 
 class _Pow2Table:
@@ -189,12 +185,11 @@ def decimal_str(n: int) -> str:
     and it is cleared whole before its keys would total over
     2 * MATERIALIZE_BITS bits (a wider 2**w is not kept).
 
-    It prints the integers born binary: convergents (`cli`), certificates
-    (`certjson`: convergents, gap ends over 2**k and the gap bound) and
-    the measure denominator.
-    A certificate schema that wrote the 2**k and g2**a denominators as
-    powers would leave it the convergents, the gap numerators and the
-    measure denominator.
+    It prints the integers born binary: convergents (`cli`) and
+    certificates (`certjson`: convergents, gap ends over 2**k and the gap
+    bound).  A certificate schema that wrote the 2**k and g2**a
+    denominators as powers would leave it the convergents and the gap
+    numerators.
     """
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)

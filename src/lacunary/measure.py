@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import InvalidConfigError, NotFound, TieEncountered
-from .intmath import decimal_str, gated_pow
+from .intmath import exact_decimal
 from .powercmp import Ordering, PurePower, power_vs_threshold
+from .series import DECIMAL
 from .witness import CompositeNumber
 
 
@@ -40,28 +41,36 @@ class AlgebraicTarget:
 
 @dataclass(frozen=True)
 class MeasureBound:
-    """Distance bound |value - target| > bound with its derivation trace."""
+    """Distance bound |value - target| > 1/base**exponent with its derivation trace."""
 
-    bound: Fraction
+    base: int
+    exponent: int
     derivation: Tuple[str, ...]
+
+    @property
+    def bound(self) -> Fraction:
+        """1/base**exponent, built only on request: the CLI never reads it."""
+        return Fraction(1, self.base ** self.exponent)
 
 
 def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
     """Closed-form bound 1/(2*H*d**2)**(1+4*d), independent of the series.
 
-    The denominator passes the size gate before it is built."""
+    The denominator is printed from the decimal grid's gated power, in
+    the exact context: it is never built as an int."""
     d, h = t.degree, t.height
     base = 2 * h * d * d
     expo = 1 + 4 * d
-    bound = Fraction(1, gated_pow(base, expo))
+    with exact_decimal():
+        denominator = str(DECIMAL.power(base, expo))
     derivation = (
         f"target: degree d = {d}, height H = {h}",
         f"base: 2*H*d^2 = {base}",
         f"exponent: 1+4*d = {expo}",
         f"bound: 1/({base})^{expo}",
-        f"denominator: {decimal_str(bound.denominator)}",
+        f"denominator: {denominator}",
     )
-    return MeasureBound(bound=bound, derivation=derivation)
+    return MeasureBound(base=base, exponent=expo, derivation=derivation)
 
 
 @dataclass(frozen=True)

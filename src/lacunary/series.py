@@ -35,8 +35,8 @@ from .errors import (
     NonIntegralExponent,
     PrecisionUnattainable,
 )
-from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, exact_decimal, floor_log10,
-                      gated_pow, int_divmod)
+from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, exact_decimal, gated_pow,
+                      int_divmod)
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -82,11 +82,12 @@ class DecimalGrid:
 
     places = staticmethod(decimal_places)  # 10**-places(k) <= 2**-k
 
-    @staticmethod
     @functools.lru_cache(maxsize=64)
-    def log_bounds(g: int) -> tuple:
-        """(num, den, up) with num/den <= log10(g) < up."""
-        return floor_log10(g ** 64, 0), 64, floor_log10(g, 0) + 1
+    def log_bounds(self, g: int) -> tuple:
+        """(num, den, up) with num/den <= log10(g) < up: the adjusted
+        exponent of an integral Decimal is its floor(log10)."""
+        with exact_decimal():
+            return self.power(g, 64).adjusted(), 64, decimal.Decimal(g).adjusted() + 1
 
     def power(self, g: int, e: int) -> decimal.Decimal:
         check_power(g, e, g.bit_length())

@@ -277,7 +277,8 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
         raise InvalidConfigError("n", "quotient verification starts at n=2")
     conv = composite_convergent(c, n)
     u, v = d_eff.numerator, d_eff.denominator
-    k = -(-exponent_after(c.schedule, n) * (c.g2 ** 64).bit_length() // 64) + GUARD_BITS
+    k = -(-exponent_after(c.schedule, n) * gated_pow(c.g2, 64, "g2").bit_length()
+          // 64) + GUARD_BITS
     qs = gated_pow(conv.q, u, f"q_{n}")
     for lo, hi, k, depth, _ in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
         stat = gated_pow(hi, v, "gap.hi") * qs

@@ -11,7 +11,7 @@ import pytest
 
 import lacunary
 from lacunary import (CompositeNumber, LacunarySeries, PowerSchedule, __version__, certjson,
-                      cli, measure, series)
+                      cli, series)
 from lacunary.certjson import certificate_document, dumps
 from lacunary.errors import InvalidConfigError
 from lacunary.cli import main
@@ -470,13 +470,11 @@ def test_certificate_bytes_do_not_depend_on_the_conversion(monkeypatch, op, n_to
 @pytest.mark.parametrize("argv", [
     ["convergents", "--n-to", "5"],
     ["digits", "--digits", "12000", "--op", "product"],
-    ["measure", "--d", "3000"],
 ])
 def test_text_output_does_not_depend_on_the_conversion(monkeypatch, capsys, argv):
     code, fast, _ = run_cli(capsys, *argv)
     assert code == 0
-    for module in (cli, measure):  # digits prints Decimals with str already
-        monkeypatch.setattr(module, "decimal_str", str)
+    monkeypatch.setattr(cli, "decimal_str", str)  # digits prints Decimals with str already
     code, slow, _ = run_cli(capsys, *argv)
     same = code == 0 and slow == fast
     assert same

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacunary import certjson, cli, intmath
-from lacunary.errors import ExponentBudgetExceeded
+from lacunary.errors import ExponentBudgetExceeded, InternalError
 from lacunary.intmath import (
     _DIV_LIMIT,
     _LEAF_BITS,
@@ -18,6 +19,7 @@ from lacunary.intmath import (
     STR_CUTOVER_BITS,
     check_power,
     decimal_str,
+    exact_decimal,
     floor_log10,
     int_divmod,
     int_label,
@@ -210,6 +212,33 @@ def test_witness_bytes_do_not_depend_on_the_table(cold_pow2, capsys):
     assert cold_pow2.keys
     assert cli.main(["witness"]) == 0
     assert capsys.readouterr() == cold
+
+
+def test_exact_decimal_is_unbounded_and_traps_rounding():
+    with exact_decimal():
+        ctx = decimal.getcontext()
+        assert ctx.prec == decimal.MAX_PREC
+        assert ctx.traps[decimal.Inexact]
+        assert str(decimal.Decimal(3) ** 100) == str(3 ** 100)
+
+
+def test_exact_decimal_restores_the_callers_context():
+    with decimal.localcontext(decimal.Context(prec=7)) as mine:
+        with exact_decimal():
+            pass
+        assert decimal.getcontext() is mine
+        with pytest.raises(InternalError, match="^decimal arithmetic signalled Inexact; "
+                                                "only exact results may print$"):
+            with exact_decimal():
+                decimal.Decimal("0.5").to_integral_exact()
+        assert decimal.getcontext() is mine
+        with exact_decimal():
+            outer = decimal.getcontext()
+            with exact_decimal():
+                assert decimal.getcontext() is not outer
+            assert decimal.getcontext() is outer
+        assert decimal.getcontext() is mine
+        assert mine.prec == 7
 
 
 def test_introot_edge_cases():

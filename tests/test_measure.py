@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lacunary.cli import main
 from lacunary.errors import (
     InvalidConfigError,
     NotFound,
@@ -35,6 +36,24 @@ def test_approximation_measure_closed_form():
     assert "bound: 1/(18)^13" in m.derivation
     assert approximation_measure(AlgebraicTarget(2, 1)).bound == Fraction(1, 8**9)
     assert approximation_measure(AlgebraicTarget(3, 5)).bound == Fraction(1, 90**13)
+
+
+@pytest.mark.parametrize("d, h", [(2, 1), (3, 50), (12, 7), (3000, 1)])
+def test_measure_prints_the_denominator_of_its_bound(d, h):
+    # printed from a Decimal power, it must be the int power's decimal text
+    m = approximation_measure(AlgebraicTarget(d, h))
+    base, expo = 2 * h * d * d, 1 + 4 * d
+    assert (m.base, m.exponent) == (base, expo)
+    assert m.derivation[-1] == f"denominator: {base ** expo}"
+    assert m.bound == Fraction(1, base ** expo)
+
+
+def test_measure_degree_over_the_cap_exits_3(capsys):
+    # d = 226719 is the least degree whose denominator is over 2**25 bits
+    assert main(["measure", "--d", "226719"]) == 3
+    assert capsys.readouterr() == (
+        "", "budget error: 102803009922**906877 would need about 33554449 bits, "
+            "over the 33554432-bit materialization cap\n")
 
 
 def test_measure_denominator_factorization():

@@ -57,6 +57,12 @@ CASES = [
     # size gate admits: refused before any term is built
     pytest.param(["digits", "--budget-bits", "33", "--digits", "9000000"], 3,
                  id="digits-past-decimal-size-gate"),
+    # the 8.7M-digit measure denominator is printed from a libmpdec power
+    pytest.param(["measure", "--d", "200000"], 0, id="measure-huge-degree"),
+    # the decimal grid reads log10 of two ~100,000-digit bases off their
+    # libmpdec powers g**64
+    pytest.param(["digits", "--digits", "5", "--g1", str(_random_odd(332000, 3)),
+                  "--g2", str(_random_odd(331999, 3))], 0, id="digits-huge-bases"),
 ]
 
 

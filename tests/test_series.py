@@ -13,9 +13,10 @@ from lacunary.errors import (
     PrecisionUnattainable,
 )
 from lacunary.interval import RationalInterval
-from lacunary.intmath import gated_pow
+from lacunary.intmath import floor_log10, gated_pow
 from lacunary.schedule import PowerSchedule
 from lacunary.series import (
+    DECIMAL,
     Convergent,
     LacunarySeries,
     certified_digits,
@@ -29,6 +30,24 @@ from lacunary.series import (
 
 def make_series(base, a1=2, beta=Fraction(1), budget_bits=20):
     return LacunarySeries(base, PowerSchedule(a1, beta, budget_bits=budget_bits))
+
+
+def _decimal_log_bounds_reference(g):
+    return floor_log10(g ** 64, 0), 64, floor_log10(g, 0) + 1
+
+
+def test_decimal_log_bounds_at_powers_of_ten():
+    # the decades' edges, where an adjusted exponent off by one would show
+    for t in range(1, 301):
+        for g in (10 ** t - 1, 10 ** t, 10 ** t + 1):
+            assert DECIMAL.log_bounds(g) == _decimal_log_bounds_reference(g)
+
+
+@given(st.integers(min_value=2, max_value=1 << 4096))
+@example(2)
+@example(99)
+def test_decimal_log_bounds_match_floor_log10(g):
+    assert DECIMAL.log_bounds(g) == _decimal_log_bounds_reference(g)
 
 
 def test_convergent_validation():

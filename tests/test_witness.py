@@ -17,7 +17,7 @@ from lacunary.errors import (
 from lacunary.interval import RationalInterval
 from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
 from lacunary.schedule import PowerSchedule
-from lacunary import witness
+from lacunary import intmath, witness
 from lacunary.intmath import exact_decimal
 from lacunary.series import BINARY, DECIMAL, Convergent, LacunarySeries, format_fixed
 from lacunary.witness import (
@@ -336,6 +336,18 @@ def test_certify_embeds_component_errors():
     # the index-4 gap bound already needs a_5 = 65536, over a 2**10 budget
     assert "ExponentBudgetExceeded" in errs[0].error
     assert [r.roth.passed for r in cert.records if r.roth] == [False, False, True]
+
+
+def test_starting_precision_power_is_gated(monkeypatch):
+    # verify_roth_instance reads its starting precision off g2**64, a
+    # power whose size comes from the input: the size gate refuses it
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", 1 << 12)
+    sched = PowerSchedule(2, Fraction(1), budget_bits=20)
+    c = CompositeNumber(Op.SUM, LacunarySeries(2**100 + 3, sched),
+                        LacunarySeries(2**100 + 1, sched))
+    (rec,) = certify(c, 3, (1, 1)).records
+    assert rec.error == ("ExponentBudgetExceeded: g2**64 would need about 6464 bits, "
+                         "over the 4096-bit materialization cap")
 
 
 def test_composite_digits_known_values():
