@@ -1,6 +1,6 @@
 """Run the CLI byte pins without pytest.
 
-Imports the pin tables `PINS`, `HELP_PINS` and `STALL_PINS` of
+Imports the pin tables `PINS`, `HELP_PINS`, `STALL_PINS` and `BRACKET_PINS` of
 tests/pins.py, runs each call through its in-process runner and compares
 sha256 of stdout, sha256 of stderr and the exit code with the pinned
 ones.  It needs the standard library only, so it runs under every
@@ -19,11 +19,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from pins import HELP_PINS, PINS, STALL_PINS, run  # noqa: E402
+from pins import BRACKET_PINS, HELP_PINS, PINS, STALL_PINS, run  # noqa: E402
 
 
 def main_check() -> int:
-    cases = [*PINS, *HELP_PINS, *STALL_PINS]
+    cases = [*PINS, *HELP_PINS, *STALL_PINS, *BRACKET_PINS]
     bad = 0
     for argv, *want in cases:
         got = run(argv)

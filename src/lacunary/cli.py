@@ -166,8 +166,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"),
                              parse_int=lambda text: int(_number_text("config", text)))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfigError("config", f"cannot read {path}: {exc}") from exc
+        # ValueError: a NUL byte in the path, bytes that are not UTF-8 or bad
+        # JSON; RecursionError: JSON nested too deep for the parser
+        except (OSError, ValueError, RecursionError) as exc:
+            raise InvalidConfigError("config", f"cannot read {value_label(path)}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidConfigError("config", "top level must be a JSON object")
         for key, value in raw.items():

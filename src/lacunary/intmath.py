@@ -31,6 +31,8 @@ __all__ = [
     "primitive_power",
     "floor_log10",
     "lowest_dyadic",
+    "pow_bracket",
+    "power_bits",
     "root_sci_string",
 ]
 
@@ -286,9 +288,9 @@ def _floor_times_pow10(n: int, k: int, s: int) -> int:
     """floor(n * 2**-k * 10**s) for n >= 0 and k >= 0.
 
     10**s = 5**s * 2**s, so this is a product or a quotient by 5**|s| and
-    shifts.  5**|s| is first bracketed to about 64 bits more than the
-    result has; 5**|s| itself is built only when the bracket's two ends
-    floor apart.
+    shifts.  5**|s| is first bracketed by `pow_bracket(5, |s|, w)`, w about
+    64 bits more than the result has; 5**|s| itself is built only when the
+    bracket's two ends floor apart.
     """
     m = abs(s)
 
@@ -299,25 +301,37 @@ def _floor_times_pow10(n: int, k: int, s: int) -> int:
         return x << t + s - k if t + s >= k else x >> k - s - t
 
     w = max(0, n.bit_length() - k + s * 3322 // 1000) + 2 * m.bit_length() + 64
-    lo, hi, t = _pow5_bracket(m, w)
+    lo, hi, t = pow_bracket(5, m, w)
     got = scaled(lo, t)
     return got if got == scaled(hi, t) else scaled(5 ** m, 0)
 
 
-def _pow5_bracket(m: int, w: int) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo * 2**t <= 5**m <= hi * 2**t: binary powering
-    with both ends cut to w bits after each step, lo rounded down and hi
-    up.  Each cut widens hi/lo by under 2**(2-w) and each later squaring
-    doubles that, so hi/lo - 1 is about 8*m * 2**-w at most."""
+def pow_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo * 2**t <= b**e <= hi * 2**t for b >= 1 and
+    e >= 0: binary powering with both ends cut to w bits after each step,
+    lo rounded down and hi up (so hi <= 2**w).  Each cut widens hi/lo by
+    under 2**(2-w) and each later squaring doubles that, so hi/lo - 1 is
+    about 8*e * 2**-w at most, whatever the size of b."""
     lo = hi = 1
     t = 0
-    for bit in bin(m)[2:]:
+    for bit in bin(e)[2:]:
         lo, hi, t = lo * lo, hi * hi, 2 * t
         if bit == "1":
-            lo, hi = 5 * lo, 5 * hi
+            lo, hi = b * lo, b * hi
         cut = max(0, hi.bit_length() - w)
         lo, hi, t = lo >> cut, -(-hi >> cut), t + cut
     return lo, hi, t
+
+
+def power_bits(b: int, e: int) -> int:
+    """bits(b**e) for b >= 1 and e >= 0, read off a 128-bit `pow_bracket`
+    when both its ends have one bit length.  b**e itself is built only when
+    the bracket straddles a power of two, so a caller that may reach that
+    route runs `check_power` first."""
+    lo, hi, t = pow_bracket(b, e, 128)
+    if lo.bit_length() == hi.bit_length():
+        return lo.bit_length() + t
+    return (b ** e).bit_length()
 
 
 def root_sci_string(n: int, k: int, v: int, sig: int) -> str:

@@ -39,7 +39,7 @@ from .errors import (
     PrecisionUnattainable,
 )
 from .intmath import (check_power, exact_decimal, gated_pow, int_divmod, int_label,
-                      lowest_dyadic, root_sci_string, value_label)
+                      lowest_dyadic, power_bits, root_sci_string, value_label)
 from .interval import RationalInterval
 from .logenc import ln_fraction_interval, ln_int_interval
 from .powercmp import Ordering, PurePower, compare
@@ -275,10 +275,15 @@ def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
         raise InvalidConfigError("d_eff", f"effective exponent must exceed 2, got {d_eff}")
     if c.op is Op.QUOTIENT and n < 2:
         raise InvalidConfigError("n", "quotient verification starts at n=2")
-    conv = composite_convergent(c, n)
+    return _roth_check(c, composite_convergent(c, n), d_eff)
+
+
+def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCheck:
+    """`verify_roth_instance` on the convergent at conv.n, for d_eff > 2."""
+    n = conv.n
     u, v = d_eff.numerator, d_eff.denominator
-    k = -(-exponent_after(c.schedule, n) * gated_pow(c.g2, 64, "g2").bit_length()
-          // 64) + GUARD_BITS
+    check_power("g2", 64, c.g2.bit_length())
+    k = -(-exponent_after(c.schedule, n) * power_bits(c.g2, 64) // 64) + GUARD_BITS
     qs = gated_pow(conv.q, u, f"q_{n}")
     for lo, hi, k, depth, _ in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
         stat = gated_pow(hi, v, "gap.hi") * qs
@@ -314,11 +319,13 @@ def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
     if den[0] <= 0:
         raise InternalError(f"log enclosure of q={q} is not positive")
     # -ln(gap) = [-(upper ln of hi), -(lower ln of lo)], ends in lowest terms; all
-    # logs are on one grid 2**-(prec + 16), so its scale cancels in the quotient
+    # logs are on one grid 2**-(prec + 16), so its scale cancels in the quotient.
+    # Over den > 0 an end of either sign takes the den end that moves it outward.
     (m_lo, j_lo), (m_hi, j_hi) = lowest_dyadic(lo, k), lowest_dyadic(hi, k)
-    num = RationalInterval(-ln_fraction_interval(m_hi, 1 << j_hi, prec)[1],
-                           -ln_fraction_interval(m_lo, 1 << j_lo, prec)[0])
-    return num / RationalInterval(*den)
+    num_lo = -ln_fraction_interval(m_hi, 1 << j_hi, prec)[1]
+    num_hi = -ln_fraction_interval(m_lo, 1 << j_lo, prec)[0]
+    return RationalInterval(Fraction(num_lo, den[1] if num_lo >= 0 else den[0]),
+                            Fraction(num_hi, den[0] if num_hi >= 0 else den[1]))
 
 
 @dataclass(frozen=True)
@@ -425,7 +432,7 @@ def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> I
                 n=n, convergent=conv,
                 notice="quotient verification starts at n=2; only the convergent is recorded")
         bound = gap_bound(c, n)
-        roth = verify_roth_instance(c, n, d_eff)
+        roth = _roth_check(c, conv, d_eff)
         _, hi, k = roth.gap
         try:
             expo = _exponent_interval(roth.gap, conv.q, 64 * roth.depth)

@@ -178,6 +178,24 @@ def test_config_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "digits", "--config", str(tmp_path / "missing.json"))[0] == 2
 
 
+
+def _config_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("config", [
+    lambda tmp_path: str(tmp_path / "a\u0000b.json"),
+    lambda tmp_path: _config_file(tmp_path, b'{"g1": "\xff"}'),
+    lambda tmp_path: _config_file(tmp_path, b"[" * 200_000 + b"]" * 200_000),
+], ids=["nul-in-path", "not-utf-8", "nested-200000-deep"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, config):
+    code, out, err = run_cli(capsys, "digits", "--config", config(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: config: cannot read ")
+    assert "\0" not in err and err.count("\n") == 1 and err.endswith("\n")
+
 @pytest.mark.parametrize("doc,err", [
     ([1], "config: top level must be a JSON object"),
     ({"g1": True}, "g1: expected an integer, got True"),

@@ -429,13 +429,52 @@ def test_margin_matches_the_fraction_reference(nk, v, sig):
     assert root_sci_string(n, k, v, sig) == _reference_root_sci_string(x, v, sig)
 
 
-@given(st.integers(min_value=0, max_value=50_000), st.integers(min_value=8, max_value=200))
-def test_pow5_bracket_holds_and_is_narrow(m, w):
+@given(st.one_of(st.integers(min_value=2, max_value=12),
+                 st.integers(min_value=0, max_value=2**63 - 1).map(lambda x: 2 * x + 1)),
+       st.integers(min_value=0, max_value=50_000), st.integers(min_value=8, max_value=200))
+def test_pow_bracket_holds_and_is_narrow(b, m, w):
     w += m.bit_length()
-    lo, hi, t = intmath._pow5_bracket(m, w)
-    assert lo << t <= 5 ** m <= hi << t
-    assert hi.bit_length() <= w or t == 0
+    lo, hi, t = intmath.pow_bracket(b, m, w)
+    assert lo << t <= b ** m <= hi << t
+    assert hi <= 1 << w or t == 0  # rounding hi up can carry into bit w
     assert (hi - lo) * 2 ** w <= 9 * m * lo
+
+
+def _root_64(bits: int) -> int:
+    """floor(2**(bits/64)): its 64th power is just under 2**bits."""
+    r = 1 << bits
+    for _ in range(6):
+        r = math.isqrt(r)
+    return r
+
+
+# b**64 just under a power of two, where its 128-bit bracket straddles it
+# and b**64 itself is built
+_STRADDLING = [_root_64(64001), _root_64(8193), (1 << 5000) - 1, (1 << 200) - 1]
+
+
+@pytest.mark.parametrize("b", _STRADDLING)
+def test_power_bits_builds_the_power_when_the_bracket_straddles(b):
+    lo, hi, _ = intmath.pow_bracket(b, 64, 128)
+    assert lo.bit_length() != hi.bit_length()
+    assert intmath.power_bits(b, 64) == (b ** 64).bit_length()
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=4096).flatmap(
+           lambda bits: st.integers(min_value=1, max_value=2**bits - 1)),
+       st.integers(min_value=0, max_value=64))
+def test_power_bits_matches_the_exact_power(b, e):
+    assert intmath.power_bits(b, e) == (b ** e).bit_length()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 127, 128, 129, 1000, 4096])
+def test_power_bits_near_powers_of_two(length):
+    roots = [_root_64(64 * length + j) for j in (-1, 0, 1)]
+    for b in [1 << length, (1 << length) - 1, (1 << length) + 1, *roots,
+              *(r + 1 for r in roots)]:
+        for e in (1, 2, 63, 64, 65):
+            assert intmath.power_bits(b, e) == (b ** e).bit_length()
 
 
 def _exact_floor_times_pow10(n, k, s):
@@ -453,7 +492,7 @@ _NEAR_INTEGERS = [((1 << 2000) // 10 ** 300 + 1, 2000, 300),
 @pytest.mark.parametrize("n, k, s", _NEAR_INTEGERS)
 def test_floor_times_pow10_builds_the_power_near_an_integer(n, k, s):
     w = max(0, n.bit_length() - k + s * 3322 // 1000) + 2 * abs(s).bit_length() + 64
-    lo, hi, t = intmath._pow5_bracket(abs(s), w)
+    lo, hi, t = intmath.pow_bracket(5, abs(s), w)
     # the floors with lo * 2**t and hi * 2**t in place of 5**|s| differ
     x = Fraction(n, 1 << k) * Fraction(2) ** s
     ends = {math.floor(x * (p << t) if s >= 0 else x / (p << t)) for p in (lo, hi)}

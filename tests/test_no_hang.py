@@ -63,6 +63,10 @@ CASES = [
     # libmpdec powers g**64
     pytest.param(["digits", "--digits", "5", "--g1", str(_random_odd(332000, 3)),
                   "--g2", str(_random_odd(331999, 3))], 0, id="digits-huge-bases"),
+    # the starting precision reads bits(g2**64) off a 128-bit bracket, not
+    # off the 16.6M-bit power
+    pytest.param(["witness", "--n-to", "1", "--g1", str(_random_odd(260000, 3)),
+                  "--g2", str(_random_odd(259999, 4))], 0, id="witness-huge-bases"),
 ]
 
 

@@ -7,7 +7,7 @@ any pin must update it there and say why the output moved.
 
 import pytest
 
-from pins import HELP_PINS, PINS, run
+from pins import BRACKET_PINS, HELP_PINS, PINS, run
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", PINS,
@@ -19,4 +19,11 @@ def test_output_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", HELP_PINS,
                          ids=[" ".join(p[0][:-1]) or "top" for p in HELP_PINS])
 def test_help_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
+    assert run(argv) == (stdout_sha, stderr_sha, code)
+
+
+@pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", BRACKET_PINS,
+                         ids=[f"{p[0][6]}-g2-{int(p[0][4]).bit_length()}-bits"
+                              for p in BRACKET_PINS])
+def test_bracket_fallback_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
     assert run(argv) == (stdout_sha, stderr_sha, code)

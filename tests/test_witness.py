@@ -350,6 +350,47 @@ def test_starting_precision_power_is_gated(monkeypatch):
                          "over the 4096-bit materialization cap")
 
 
+@pytest.mark.parametrize("op", [Op.SUM, Op.QUOTIENT])
+def test_certify_builds_one_convergent_per_index(op):
+    with mock.patch.object(witness, "composite_convergent",
+                           wraps=witness.composite_convergent) as built:
+        cert = certify(build_example(op), 3, (1, 4))
+    assert [call.args[1] for call in built.call_args_list] == [1, 2, 3, 4]
+    assert [r.convergent.n for r in cert.records] == [1, 2, 3, 4]
+
+
+def _exponent_interval_by_intervals(gap, q, prec):
+    """-ln(gap)/ln(q) as RationalInterval arithmetic computes it."""
+    lo, hi, k = gap
+    (m_lo, j_lo), (m_hi, j_hi) = intmath.lowest_dyadic(lo, k), intmath.lowest_dyadic(hi, k)
+    num = RationalInterval(-ln_fraction_interval(m_hi, 1 << j_hi, prec)[1],
+                           -ln_fraction_interval(m_lo, 1 << j_lo, prec)[0])
+    return num / RationalInterval(*ln_int_interval(q, prec))
+
+
+def _gap_ends(lo_range, hi_range):
+    return st.integers(*lo_range).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(max(lo, hi_range[0]), hi_range[1])))
+
+
+# gaps [lo, hi] * 2**-10 below 1, straddling 1 and above 1, so that -ln(gap)
+# is positive, straddles 0 and is negative
+_GAP_RANGES = [((1, 1023), (1, 1023)), ((1, 1023), (1025, 4096)),
+               ((1025, 1 << 60), (1025, 1 << 61))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(*(_gap_ends(*r) for r in _GAP_RANGES)),
+       st.integers(2, 1 << 200), st.sampled_from([0, 64, 128]))
+@example((3, 5), 6 ** 16, 64)
+@example((1000, 1048), 6 ** 16, 64)
+@example((3000, 3100), 6 ** 16, 64)
+def test_exponent_interval_divides_like_the_interval_route(ends, q, prec):
+    gap = (*ends, 10)
+    expo = witness._exponent_interval(gap, q, prec)
+    assert expo == _exponent_interval_by_intervals(gap, q, prec)
+
+
 def test_composite_digits_known_values():
     assert composite_digits(build_example(Op.SUM), 10) == "0.4359720721"
     assert composite_digits(build_example(Op.DIFFERENCE), 10) == "-0.1890584454"
