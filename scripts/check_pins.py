@@ -3,34 +3,43 @@
 Imports the pin tables `PINS`, `HELP_PINS`, `STALL_PINS` and `BRACKET_PINS` of
 tests/pins.py, runs each call through its in-process runner and compares
 sha256 of stdout, sha256 of stderr and the exit code with the pinned
-ones.  It needs the standard library only, so it runs under every
-interpreter that `requires-python` admits:
+ones.  Every pin runs twice: as the CLI reads it, and with the plain
+command-line reader `cli._plain_args` patched to return None, so that
+argparse reads every call.  It needs the standard library only, so it
+runs under every interpreter that `requires-python` admits:
 
     python3 scripts/check_pins.py
 
-Prints one line per pin that differs and a summary; exits 0 when every
-pin matches and 1 otherwise.
+Prints one line per pin and route that differs and a summary; exits 0
+when every pin matches on both routes and 1 otherwise.
 """
 
+import contextlib
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from lacunary import cli  # noqa: E402
 from pins import BRACKET_PINS, HELP_PINS, PINS, STALL_PINS, run  # noqa: E402
 
 
 def main_check() -> int:
     cases = [*PINS, *HELP_PINS, *STALL_PINS, *BRACKET_PINS]
-    bad = 0
-    for argv, *want in cases:
-        got = run(argv)
-        if got != tuple(want):
-            bad += 1
-            print(f"MISMATCH {' '.join(argv)}: got {got}, pinned {tuple(want)}")
-    print(f"{len(cases) - bad}/{len(cases)} pins match "
+    bad = set()
+    for route, patch in (("plain", contextlib.nullcontext()),
+                         ("argparse", mock.patch.object(cli, "_plain_args", return_value=None))):
+        with patch:
+            for argv, *want in cases:
+                got = run(argv)
+                if got != tuple(want):
+                    bad.add(argv)
+                    print(f"MISMATCH ({route} route) {' '.join(argv)}: "
+                          f"got {got}, pinned {tuple(want)}")
+    print(f"{len(cases) - len(bad)}/{len(cases)} pins match on both routes "
           f"under {platform.python_implementation()} {platform.python_version()}")
     return 1 if bad else 0
 

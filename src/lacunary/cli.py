@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -274,11 +275,16 @@ _COMMANDS = {
 }
 
 
+def _flag(name: str) -> str:
+    """The flag of configuration key `name`."""
+    return "--" + name.replace("_", "-")
+
+
 def _add_flags(parser: argparse.ArgumentParser, command: Optional[str]) -> None:
     """The flags of the RunConfig keys whose flag is on `command`."""
     for f in dataclasses.fields(RunConfig):
         if f.metadata["command"] == command:
-            parser.add_argument("--" + f.name.replace("_", "-"),
+            parser.add_argument(_flag(f.name),
                                 metavar=f.metadata["metavar"], help=f.metadata["help"])
 
 
@@ -302,9 +308,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flags(command: str) -> dict:
+    """The full text of every flag `command` takes, mapped to its Namespace
+    name: --config and the flags of its RunConfig keys."""
+    names = ["config"] + [f.name for f in dataclasses.fields(RunConfig)
+                          if f.metadata["command"] in (None, command)]
+    return {_flag(name): name for name in names}
+
+
+def _plain_args(argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace `_build_parser().parse_args(argv)` returns, read without
+    argparse when argv is a command and then `--flag value` pairs: each flag
+    spelled in full, no value starting with "-", a repeated flag keeping its
+    last value.  None for any other argv, which is argparse's to read: help,
+    version, abbreviations, `--flag=value`, negative numbers and errors."""
+    if (len(argv) % 2 == 0 or not all(isinstance(a, str) for a in argv)
+            or argv[0] not in _COMMANDS):
+        return None
+    flags = _flags(argv[0])
+    args = dict.fromkeys(flags.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        args[flags[flag]] = value
+    return argparse.Namespace(command=argv[0], **args)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a closed pipe or a full disk: the unwritten text stays buffered
+            # and Python flushes it again at exit, so point stdout at devnull
+            # to keep that flush from failing too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidConfigError("out", f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -314,7 +357,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         _emit(_COMMANDS[args.command][0](cfg), cfg.out)

@@ -1,13 +1,21 @@
 import argparse
+import contextlib
+import dataclasses
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lacunary
 from lacunary import (CompositeNumber, LacunarySeries, PowerSchedule, __version__, certjson,
@@ -242,6 +250,30 @@ def test_out_with_a_nul_byte_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.startswith("config error: out: cannot write")
     assert "\0" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_is_a_config_error(target):
+    argv = [sys.executable, "-m", "lacunary"]
+    # stdout buffered, as it is by default: the error may wait for a flush
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if target == "/dev/full":
+        if not os.path.exists(target):
+            pytest.skip("no /dev/full")
+        with open(target, "w") as full:
+            proc = subprocess.run([*argv, "convergents"], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=10)
+    else:
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so that its write must fail
+        try:
+            proc = subprocess.run([*argv, "witness", "--g1", "7", "--g2", "5"], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=10)
+        finally:
+            os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: out: cannot write stdout: [Errno ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_config_out_must_be_a_string(tmp_path, monkeypatch, capsys):
@@ -532,12 +564,13 @@ def test_main_calls_in_one_process_match_each_call_alone(capsys):
 
 
 def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    # `--flag=value` is not plain, so both calls go through argparse
     built = []
     init = argparse.ArgumentParser.__init__
-    assert run_cli(capsys, "convergents")[0] == 0
+    assert run_cli(capsys, "convergents", "--n-to=2")[0] == 0
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
-    assert run_cli(capsys, "validate", "--n-to", "2")[0] == 0
+    assert run_cli(capsys, "validate", "--n-to=2")[0] == 0
     assert built == []
 
 
@@ -597,6 +630,99 @@ def test_in_process_calls_match_fresh_processes(capsys):
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == fresh
     assert [r[0] for r in fresh] == [code for code, _ in _SMALL_QUERIES]
+
+
+# Pins that `--flag=value` respells, so that argparse reads them.
+_RESPELLED_PINS = [
+    ["witness", "--op", "sum"],
+    ["witness", "--g1", "7", "--g2", "5", "--op", "product"],
+    ["digits", "--budget-bits", "9", "--digits", "400"],
+    ["convergents", "--n-to", "5"],
+    ["measure", "--height", "3"],
+    ["validate", "--n-to", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _SMALL_QUERIES] + _RESPELLED_PINS)
+def test_both_routes_print_the_same_bytes(capsys, argv):
+    respelled = [argv[0], *(f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2]))]
+    assert cli._plain_args(argv) is not None and cli._plain_args(respelled) is None
+    assert run_main(capsys, argv) == run_main(capsys, respelled)
+
+
+_COUNT_PARSER_CALLS = """
+import contextlib, io, json, sys
+from lacunary import cli
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+
+for argv in json.loads(sys.argv[1]):
+    call(argv)
+sys.argv = ["lacunary", "convergents", "--n-to", "2"]
+call(None)
+info = cli._build_parser.cache_info()
+print(info.hits + info.misses)
+call(["--help"])
+call(["digits", "--help"])
+print(cli._build_parser.cache_info().misses)
+"""
+
+
+def test_plain_calls_build_no_parser_in_a_fresh_process():
+    # plain calls never call _build_parser; the first --help builds it, once
+    argvs = json.dumps([argv for _, argv in _SMALL_QUERIES])
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PARSER_CALLS, argvs],
+                          capture_output=True, text=True, env=CLI_ENV, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "0\n1\n"), proc.stderr
+
+
+_FLAG_TEXTS = ["--config"] + ["--" + f.name.replace("_", "-")
+                              for f in dataclasses.fields(cli.RunConfig)]
+_OTHER_TOKENS = ["-h", "--help", "--version", "--", "--dig", "--n", "--he", "--bud", "--o"]
+_VALUES = ["2", "3", "7", "1/2", "sum", "quotient", "digits", "", "x y", "-5", "-1/2"]
+_ARGVS = st.one_of(st.just([]), st.builds(
+    lambda head, pairs, tail: [head, *(t for pair in pairs for t in pair), *tail],
+    st.sampled_from([*cli._COMMANDS, "nope", "--version", "-h"]),
+    st.lists(st.tuples(st.sampled_from(_FLAG_TEXTS + ["-h", "--help"]),
+                       st.sampled_from(_VALUES)), max_size=4),
+    st.one_of(st.just([]), st.lists(
+        st.one_of(st.sampled_from(_FLAG_TEXTS + _OTHER_TOKENS + _VALUES),
+                  st.builds("{}={}".format, st.sampled_from(_FLAG_TEXTS),
+                            st.sampled_from(_VALUES))), min_size=1, max_size=2))))
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of `main(argv)`, run in an empty
+    directory so that `--out` and `--config` name no file of the tree."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=500)
+@given(argv=_ARGVS)
+def test_plain_reader_matches_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._build_parser().parse_args(argv))
+    with mock.patch.object(cli, "_plain_args", return_value=None):
+        fallback = _call(argv)
+    assert _call(argv) == fallback
 
 
 @pytest.mark.parametrize("code, argv", [
