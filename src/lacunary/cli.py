@@ -13,8 +13,10 @@ error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import os
 import re
@@ -356,12 +358,26 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise InvalidConfigError("out", f"cannot write {value_label(out)}: {exc}") from exc
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, with the help or version text it
+    prints before it exits written by `_emit`, so that a stdout that
+    cannot take it is a configuration error."""
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text):
+            return _build_parser().parse_args(argv)
+    except SystemExit:
+        if text.getvalue():
+            _emit(text.getvalue(), None)
+        raise
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:
-        args = _build_parser().parse_args(argv)
     try:
+        args = _plain_args(argv)
+        if args is None:
+            args = _parse_args(argv)
         cfg = load_config(args)
         _emit(_COMMANDS[args.command][0](cfg), cfg.out)
     except (InvalidConfigError, NonIntegralExponent) as exc:

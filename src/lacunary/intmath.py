@@ -21,6 +21,7 @@ __all__ = [
     "MATERIALIZE_BITS",
     "check_power",
     "decimal_places",
+    "decimal_power",
     "decimal_str",
     "exact_decimal",
     "gated_pow",
@@ -122,13 +123,15 @@ def exact_decimal():
                             "only exact results may print") from exc
 
 
-class _Pow2Table:
-    """Decimal(2**w) by w, for decimal_str, kept for the life of the
-    process: the certificates of one schedule print the same and nearby
-    powers of two.  `keys` is the sorted key list of `values` and `bits`
-    the keys' sum.  `lock` is held by a whole conversion; Decimal
-    arithmetic holds the interpreter lock, so threads lose no parallelism
-    by it.
+class _PowerTable:
+    """Decimal(b**e) by (b, e), kept for the life of the process: the
+    certificates of one schedule print the same and nearby powers of two,
+    and the decimal grid's terms of one series take the same powers of 5,
+    2, g and its odd part at every precision.  `keys` is the sorted key
+    list of `values`, and `bits` the sum of e * bits(b - 1) over the keys,
+    each b**e's width bound (b <= 2**bits(b - 1); for b = 2 that is e).
+    `lock` is held by a whole lookup or conversion; Decimal arithmetic
+    holds the interpreter lock, so threads lose no parallelism by it.
     """
 
     __slots__ = ("values", "keys", "bits", "lock")
@@ -144,33 +147,57 @@ class _Pow2Table:
         self.keys.clear()
         self.bits = 0
 
-    def two_to(self, w: int) -> decimal.Decimal:
-        """Decimal(2**w) by the rule decimal_str states, run with `lock`
-        held and in the exact context."""
-        r = self.values.get(w)
+    def power(self, b: int, e: int) -> decimal.Decimal:
+        """Decimal(b**e) for b >= 2 and e >= 0, run with `lock` held.  An
+        entry held is returned; a b**e of at most _LEAF_BITS bits, or with
+        e <= 1, is converted directly; one within _LEAF_BITS // 4 bits
+        above the held b**e' with the largest e' < e is the one product
+        b**e' * b**(e - e'); any other is the product of its halves, each
+        product in the exact context.  The table is cleared whole before a
+        new entry would take `bits` past 2 * MATERIALIZE_BITS, and a wider
+        b**e is returned but not kept, so the bound holds for any caller."""
+        key = (b, e)
+        r = self.values.get(key)
         if r is not None:
             return r
-        if w <= _LEAF_BITS:
-            r = decimal.Decimal(1 << w)
+        step = (b - 1).bit_length()
+        width = e * step
+        if e <= 1 or width <= _LEAF_BITS:
+            r = decimal.Decimal(b ** e)
         else:
-            i = bisect.bisect_left(self.keys, w)
-            near = self.keys[i - 1] if i else None
-            if near is not None and w - near <= _LEAF_BITS // 4:
-                r = self.values[near] * decimal.Decimal(1 << (w - near))
+            i = bisect.bisect_left(self.keys, key)
+            near_b, near_e = self.keys[i - 1] if i else (None, 0)
+            if near_b == b and (e - near_e) * step <= _LEAF_BITS // 4:
+                x, y = self.values[near_b, near_e], decimal.Decimal(b ** (e - near_e))
             else:
-                r = self.two_to(w >> 1) * self.two_to(w - (w >> 1))
+                x, y = self.power(b, e >> 1), self.power(b, e - (e >> 1))
+            with exact_decimal():
+                r = x * y
         cap = 2 * MATERIALIZE_BITS
-        if w > cap:
+        if width > cap:
             return r
-        if self.bits + w > cap:
+        if self.bits + width > cap:
             self.clear()
-        self.values[w] = r
-        bisect.insort(self.keys, w)
-        self.bits += w
+        self.values[key] = r
+        bisect.insort(self.keys, key)
+        self.bits += width
         return r
 
 
-_POW2 = _Pow2Table()
+_POWERS = _PowerTable()
+
+
+def decimal_power(b: int, e: int) -> decimal.Decimal:
+    """Decimal(b**e) for b >= 2 and e >= 0, from the one process-wide table
+    _POWERS; a new entry is built under its lock.  It is not gated: a
+    caller whose b or e comes from the input runs check_power first."""
+    # a held entry is read without the lock: one dict lookup is atomic, and
+    # an entry is a finished, immutable Decimal from the moment it is stored
+    r = _POWERS.values.get((b, e))
+    if r is not None:
+        return r
+    with _POWERS.lock:
+        return _POWERS.power(b, e)
 
 
 def decimal_str(n: int) -> str:
@@ -181,11 +208,9 @@ def decimal_str(n: int) -> str:
     decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
     algorithm, CPython 3.12's Lib/_pylong.py).  The factor 2**z of n is
     split off first and applied as one Decimal product, in the exact
-    context.  Every power of two comes from the one process-wide table
-    _POW2: an entry it holds is reused, a new 2**w within _LEAF_BITS // 4
-    bits above its largest key w' <= w is one product 2**w' * 2**(w - w'),
-    and it is cleared whole before its keys would total over
-    2 * MATERIALIZE_BITS bits (a wider 2**w is not kept).
+    context.  Every power of two is a base-2 entry of the one process-wide
+    table _POWERS, held for the whole conversion (`_PowerTable.power`
+    states its reuse rule and its bound).
 
     It prints the integers born binary: convergents (`cli`) and
     certificates (`certjson`: convergents, gap ends over 2**k and the gap
@@ -196,20 +221,20 @@ def decimal_str(n: int) -> str:
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)
     D = decimal.Decimal
-    two_to = _POW2.two_to
+    power = _POWERS.power
 
     def rebuild(m, w):  # Decimal(m) for 0 <= m < 2**w
         if w <= _LEAF_BITS:
             return D(m)
         h = w >> 1
         hi = m >> h
-        return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * two_to(h)
+        return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * power(2, h)
 
-    with _POW2.lock, exact_decimal():
+    with _POWERS.lock, exact_decimal():
         m = abs(n)
         z = (m & -m).bit_length() - 1
         odd = m >> z
-        digits = str(rebuild(odd, odd.bit_length()) * two_to(z))
+        digits = str(rebuild(odd, odd.bit_length()) * power(2, z))
     return "-" + digits if n < 0 else digits
 
 

@@ -35,8 +35,8 @@ from .errors import (
     NonIntegralExponent,
     PrecisionUnattainable,
 )
-from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, exact_decimal, gated_pow,
-                      int_divmod)
+from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, decimal_power, exact_decimal,
+                      gated_pow, int_divmod)
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -75,7 +75,8 @@ class BinaryGrid:
 
 class DecimalGrid:
     """Ends as integral Decimals on the grid 10**-j; a place is a digit.
-    Every operation is exact only in `exact_decimal`'s context."""
+    Every operation is exact only in `exact_decimal`'s context.  Powers
+    come from `intmath.decimal_power`'s one table, kept across calls."""
 
     radix = 10
     number = decimal.Decimal
@@ -89,13 +90,39 @@ class DecimalGrid:
         with exact_decimal():
             return self.power(g, 64).adjusted(), 64, decimal.Decimal(g).adjusted() + 1
 
+    @functools.lru_cache(maxsize=64)
+    def split(self, g: int) -> tuple:
+        """(p, d, c, o) with g = 2**z * 5**w * o, o prime to 10, c = max(z,
+        w), and p**d = 5**(z-w) or 2**(w-z): then 10**j / g**a = p**(d*a) *
+        10**(j - c*a) / o**a."""
+        z = (g & -g).bit_length() - 1
+        o, w = g >> z, 0
+        while o % 5 == 0:
+            o, w = o // 5, w + 1
+        return (5, z - w, z, o) if z >= w else (2, w - z, w, o)
+
     def power(self, g: int, e: int) -> decimal.Decimal:
+        """Decimal(g**e), gated as g**e."""
         check_power(g, e, g.bit_length())
-        return decimal.Decimal(g) ** e
+        return decimal_power(g, e)
 
     def inverse_power(self, g: int, a: int, j: int) -> decimal.Decimal:
-        """floor(10**j / g**a)."""
-        return decimal.Decimal(1).scaleb(j) // self.power(g, a)
+        """floor(10**j / g**a), gated as g**a: the cut of p**(d*a) *
+        10**(j - c*a) to an integer (`split`), divided by o**a.  Since
+        floor(floor(x/m)/n) = floor(x/(m*n)), that is the same integer.
+        Where only p**(d*a) is over the cap, 10**j // g**a."""
+        check_power(g, a, g.bit_length())
+        p, d, c, o = self.split(g)
+        n = decimal.Decimal(1)
+        if d:
+            try:
+                n = self.power(p, d * a)
+            except ExponentBudgetExceeded:
+                return n.scaleb(j) // decimal_power(g, a)
+        n = n.scaleb(j - c * a)
+        if j < c * a:
+            n = n.to_integral_value(rounding=decimal.ROUND_FLOOR)
+        return n // decimal_power(o, a) if o > 1 else n  # o**a is gated by g**a
 
     @staticmethod
     def scale(x: decimal.Decimal, j: int) -> decimal.Decimal:

@@ -252,22 +252,32 @@ def test_out_with_a_nul_byte_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert "\0" not in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
-def test_unwritable_stdout_is_a_config_error(target):
-    argv = [sys.executable, "-m", "lacunary"]
+# a command's output, then argparse's own: help and version text
+_UNWRITABLE = [("closed pipe", ("witness", "--g1", "7", "--g2", "5")),
+               ("/dev/full", ("convergents",))]
+_UNWRITABLE += [(target, args) for args in (("--help",), ("--version",), ("digits", "--help"))
+                for target in ("closed pipe", "/dev/full")]
+
+
+@pytest.mark.parametrize("target, args", _UNWRITABLE, ids=[
+    target if i < 2 else f"{target} {' '.join(args)}"
+    for i, (target, args) in enumerate(_UNWRITABLE)])
+def test_unwritable_stdout_is_a_config_error(target, args):
+    argv = [sys.executable, "-m", "lacunary", *args]
     # stdout buffered, as it is by default: the error may wait for a flush
+    # (unbuffered, argparse drops its own write error and exits 0)
     env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
     if target == "/dev/full":
         if not os.path.exists(target):
             pytest.skip("no /dev/full")
         with open(target, "w") as full:
-            proc = subprocess.run([*argv, "convergents"], stdout=full, stderr=subprocess.PIPE,
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
                                   text=True, env=env, timeout=10)
     else:
         read, write = os.pipe()
         os.close(read)  # before the child starts, so that its write must fail
         try:
-            proc = subprocess.run([*argv, "witness", "--g1", "7", "--g2", "5"], stdout=write,
+            proc = subprocess.run(argv, stdout=write,
                                   stderr=subprocess.PIPE, text=True, env=env, timeout=10)
         finally:
             os.close(write)

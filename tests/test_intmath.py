@@ -89,45 +89,51 @@ def test_decimal_str_matches_str():
 
 
 @pytest.fixture
-def cold_pow2():
-    """decimal_str's table of powers of two, emptied before and after."""
-    intmath._POW2.clear()
-    yield intmath._POW2
-    intmath._POW2.clear()
+def cold_powers():
+    """The one table of Decimal powers, emptied before and after."""
+    intmath._POWERS.clear()
+    yield intmath._POWERS
+    intmath._POWERS.clear()
 
 
-def _pow2_path(table, w):
-    """How table.two_to(w) is to get 2**w, read from the table as it
+def _power_path(table, b, e):
+    """How table.power(b, e) is to get b**e, read from the table as it
     stands: ("hit", 0), ("leaf", 0), or ("near", d) or ("halve", d) for d
-    = w minus the largest key below w (None if no key is below w)."""
-    if w in table.values:
+    = e minus the largest exponent of b held below e (None if none is)."""
+    if (b, e) in table.values:
         return "hit", 0
-    if w <= _LEAF_BITS:
+    width = (b - 1).bit_length()
+    if e <= 1 or e * width <= _LEAF_BITS:
         return "leaf", 0
-    below = [k for k in table.keys if k < w]
-    d = w - below[-1] if below else None
-    return ("near" if d is not None and d <= _LEAF_BITS // 4 else "halve"), d
+    below = [k for c, k in table.keys if c == b and k < e]
+    d = e - below[-1] if below else None
+    return ("near" if d is not None and d * width <= _LEAF_BITS // 4 else "halve"), d
 
 
 def _record_paths(monkeypatch):
-    """Make every _Pow2Table.two_to call append (path, d, the number of
-    two_to calls it made itself) to the returned list."""
-    real = intmath._Pow2Table.two_to
+    """Make every _PowerTable.power call append (path, d, the number of
+    power calls it made itself, b) to the returned list."""
+    real = intmath._PowerTable.power
     seen = []
 
-    def spy(table, w):
-        path = _pow2_path(table, w)
+    def spy(table, b, e):
+        path = _power_path(table, b, e)
         i = len(seen)
         seen.append(None)
-        r = real(table, w)
-        seen[i] = (*path, len(seen) - i - 1)
+        r = real(table, b, e)
+        seen[i] = (*path, len(seen) - i - 1, b)
         return r
 
-    monkeypatch.setattr(intmath._Pow2Table, "two_to", spy)
+    monkeypatch.setattr(intmath._PowerTable, "power", spy)
     return seen
 
 
-def test_decimal_str_reuses_and_derives_powers_of_two(cold_pow2, monkeypatch):
+def _table_bits(table):
+    """The width bound the table keeps in `bits`, summed over its keys."""
+    return sum(e * (b - 1).bit_length() for b, e in table.keys)
+
+
+def test_decimal_str_reuses_and_derives_powers_of_two(cold_powers, monkeypatch):
     # far-apart pairs 2**w, 2**(w+d) for d = 1, 1024 and 1025, odd
     # multiples of a leaf power and of table powers, each twice, in a
     # seeded shuffled order; the table is cleared once on the way
@@ -144,47 +150,77 @@ def test_decimal_str_reuses_and_derives_powers_of_two(cold_pow2, monkeypatch):
     wrong = []
     for n in ns:
         if n == "clear":
-            cold_pow2.clear()
+            cold_powers.clear()
         elif decimal_str(n) != str(n):
             wrong.append(n.bit_length())
     assert wrong == []
     assert 0 < ns.index("clear") < len(ns) - 1
-    paths = {(path, d) for path, d, _ in seen}
+    assert {b for *_, b in seen} == {2}
+    paths = {(path, d) for path, d, _, _ in seen}
     assert {("hit", 0), ("leaf", 0), ("near", 1), ("near", 1024), ("halve", 1025)} <= paths
-    # a hit, a leaf and a nearest-key product make no further two_to call
-    assert {made for path, _, made in seen if path != "halve"} == {0}
-    assert min(made for path, _, made in seen if path == "halve") >= 2
+    # a hit, a leaf and a nearest-key product make no further power call
+    assert {made for path, _, made, _ in seen if path != "halve"} == {0}
+    assert min(made for path, _, made, _ in seen if path == "halve") >= 2
 
 
-def test_pow2_table_stays_under_its_bound(cold_pow2, monkeypatch):
+def test_decimal_powers_of_other_bases_follow_the_same_rule(cold_powers, monkeypatch):
+    # bases 5, 3, a wide odd base and 2 side by side: exact values, a
+    # nearest key is one of the same base only, and its distance is
+    # counted in bits, bits(b - 1) = 3 a step for b = 5 (1,024 // 3 = 341)
+    wide = (1 << 5000) + 1
+    asks = [(5, 20_000), (5, 20_341), (5, 20_342 + 341), (5, 41_000), (3, 20_000),
+            (3, 20_512), (3, 20_513 + 512), (wide, 1), (wide, 2), (wide, 3), (2, 20_001),
+            (7, 0)]
+    seen = _record_paths(monkeypatch)
+    for b, e in asks:
+        assert intmath.decimal_power(b, e) == b ** e
+    assert cold_powers.keys == sorted(cold_powers.values)
+    assert cold_powers.bits == _table_bits(cold_powers)
+    paths = {(b, path, d) for path, d, _, b in seen}
+    assert {(5, "near", 341), (5, "halve", 342), (3, "near", 512), (3, "halve", 513),
+            (wide, "leaf", 0), (2, "halve", None)} <= paths
+    # a held entry is read by decimal_power itself
+    made = len(seen)
+    assert intmath.decimal_power(5, 20_000) == 5 ** 20_000
+    assert len(seen) == made
+
+
+def test_power_table_stays_under_its_bound(cold_powers, monkeypatch):
     monkeypatch.setattr(intmath, "MATERIALIZE_BITS", 1 << 17)
     cap = 2 * intmath.MATERIALIZE_BITS
     decimal_str(2**STR_CUTOVER_BITS - 1)
     decimal_str(-(3 << STR_CUTOVER_BITS - 2))
-    assert cold_pow2.keys == [] and cold_pow2.values == {}
+    assert cold_powers.keys == [] and cold_powers.values == {}
     widths = [40_000, 61_000, 83_000, 99_000, 120_000, 41_000, 130_000, cap + 1]
     assert sum(widths) > cap
-    cleared = False
+    cleared, bases = False, set()
     for w in widths:
-        before = set(cold_pow2.keys)
+        before = set(cold_powers.keys)
         assert decimal_str(1 << w) == str(1 << w)
         assert decimal_str(5 << w) == str(5 << w)
-        cleared = cleared or not before <= set(cold_pow2.keys)
-        assert cold_pow2.keys == sorted(cold_pow2.values)
-        assert cold_pow2.bits == sum(cold_pow2.keys) <= cap
-    assert cleared and cap + 1 not in cold_pow2.values
+        # mixed bases: 5**e and 10**e count 3 and 4 bits a step
+        assert intmath.decimal_power(5, w // 4) == 5 ** (w // 4)
+        assert intmath.decimal_power(10, w // 8) == 10 ** (w // 8)
+        cleared = cleared or not before <= set(cold_powers.keys)
+        bases |= {b for b, _ in cold_powers.keys}
+        assert cold_powers.keys == sorted(cold_powers.values)
+        assert cold_powers.bits == _table_bits(cold_powers) <= cap
+    assert cleared and (2, cap + 1) not in cold_powers.values
+    assert bases == {2, 5, 10}
 
 
-def test_pow2_table_is_shared_by_threads(cold_pow2):
+def test_power_table_is_shared_by_threads(cold_powers):
     ws = [65_533 + 37 * i for i in range(30)] + [104_512, 70_000]
+    es = [9_001 + 11 * i for i in range(12)] + [12_000, 20_000]
     results, failures = {}, []
 
     def work(seed):  # threads 0, 1 and threads 2, 3 share an order
-        order = ws[:]
+        order = [(2, w) for w in ws] + [(5, e) for e in es]
         random.Random(seed // 2).shuffle(order)
         try:
-            for w in order:
-                results[seed, w] = decimal_str(1 << w)
+            for b, e in order:
+                results[seed, b, e] = (decimal_str(1 << e) if b == 2
+                                       else intmath.decimal_power(b, e))
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
@@ -200,18 +236,48 @@ def test_pow2_table_is_shared_by_threads(cold_pow2):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert len(results) == 4 * len(ws)
-    assert all(got == str(1 << w) for (_, w), got in results.items())
-    assert len(cold_pow2.keys) == len(set(cold_pow2.keys))
-    assert cold_pow2.keys == sorted(cold_pow2.values)
+    assert len(results) == 4 * (len(ws) + len(es))
+    assert all(got == str(1 << e) for (_, b, e), got in results.items() if b == 2)
+    assert all(got == 5 ** e for (_, b, e), got in results.items() if b == 5)
+    assert len(cold_powers.keys) == len(set(cold_powers.keys))
+    assert cold_powers.keys == sorted(cold_powers.values)
+    assert cold_powers.bits == _table_bits(cold_powers)
 
 
-def test_witness_bytes_do_not_depend_on_the_table(cold_pow2, capsys):
-    assert cli.main(["witness"]) == 0
+def _clearing_mid_run(monkeypatch):
+    """Make every third _PowerTable.power call empty the table first."""
+    real = intmath._PowerTable.power
+    calls = []
+
+    def clearing(table, b, e):
+        calls.append((b, e))
+        if len(calls) % 3 == 0:
+            table.clear()
+        return real(table, b, e)
+
+    monkeypatch.setattr(intmath._PowerTable, "power", clearing)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness",),
+    ("digits", "--digits", "3000", "--op", "sum"),
+    ("digits", "--digits", "3000", "--op", "quotient", "--g1", "10", "--g2", "6"),
+    ("digits", "--digits", "800", "--op", "product", "--g1", "20", "--g2", "15"),
+    ("measure", "--d", "400"),
+], ids=" ".join)
+def test_output_bytes_do_not_depend_on_the_table(cold_powers, capsys, monkeypatch, argv):
+    # cold, warm, and with the table emptied again and again mid-run
+    assert cli.main(list(argv)) == 0
     cold = capsys.readouterr()
-    assert cold_pow2.keys
-    assert cli.main(["witness"]) == 0
+    assert cold_powers.keys
+    assert cli.main(list(argv)) == 0
     assert capsys.readouterr() == cold
+    cold_powers.clear()
+    calls = _clearing_mid_run(monkeypatch)
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr() == cold
+    assert len(calls) >= 3
 
 
 def test_exact_decimal_is_unbounded_and_traps_rounding():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lacunary import intmath
 from lacunary.errors import (
     ExponentBudgetExceeded,
     InvalidConfigError,
@@ -13,7 +14,7 @@ from lacunary.errors import (
     PrecisionUnattainable,
 )
 from lacunary.interval import RationalInterval
-from lacunary.intmath import floor_log10, gated_pow
+from lacunary.intmath import _POWERS, exact_decimal, floor_log10, gated_pow
 from lacunary.schedule import PowerSchedule
 from lacunary.series import (
     DECIMAL,
@@ -48,6 +49,76 @@ def test_decimal_log_bounds_at_powers_of_ten():
 @example(99)
 def test_decimal_log_bounds_match_floor_log10(g):
     assert DECIMAL.log_bounds(g) == _decimal_log_bounds_reference(g)
+
+
+SPLIT_BASES = (2, 4, 5, 8, 10, 20, 25, 40, 50, 6, 12, 15, 30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=st.one_of(st.sampled_from(SPLIT_BASES), st.integers(2, 10 ** 6)),
+       a=st.integers(1, 300), shift=st.integers(-400, 400))
+@example(g=2, a=64, shift=-1)
+@example(g=40, a=3, shift=0)  # j = c*a = 9 exactly
+@example(g=50, a=5, shift=-1)
+def test_decimal_terms_split_off_twos_and_fives(g, a, shift):
+    # j on both sides of (z + w)*a and of max(z, w)*a, where the cut of
+    # 5**(d*a) or 2**(d*a) turns from a shift left to a cut right; the
+    # int oracle floor(10**j / g**a), with the table cold and then warm
+    p, d, c, o = DECIMAL.split(g)
+    assert g * p ** d == 10 ** c * o and o % 2 and o % 5 and p in (2, 5)
+    z, w = (g & -g).bit_length() - 1, 0
+    while g % 5 ** (w + 1) == 0:
+        w += 1
+    for j in {max(0, (z + w) * a + shift), max(0, c * a + shift)}:
+        want = 10 ** j // g ** a
+        _POWERS.clear()
+        with exact_decimal():
+            cold = DECIMAL.inverse_power(g, a, j)
+            warm = DECIMAL.inverse_power(g, a, j)
+        assert cold == want and warm == want
+
+
+def test_decimal_term_split_is_gated_like_the_division(monkeypatch):
+    # with a 1,024-bit cap, the split and the division 10**j // g**a give
+    # the same term or the same refusal; where only the split's own
+    # 5**(d*a) or 2**(d*a) is over the cap the division is taken; and no
+    # power over the cap is built on either route
+    cap = 1 << 10
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", cap)
+    real = intmath._PowerTable.power
+    built = []
+
+    def spy(table, b, e):
+        built.append((b, e))
+        return real(table, b, e)
+
+    monkeypatch.setattr(intmath._PowerTable, "power", spy)
+    _POWERS.clear()
+
+    def division(g, a, j):
+        return Decimal(1).scaleb(j) // DECIMAL.power(g, a)
+
+    def outcome(route, g, a, j):
+        try:
+            with exact_decimal():
+                return route(g, a, j)
+        except ExponentBudgetExceeded as exc:
+            return type(exc), str(exc)
+
+    routes = {"split": 0, "division": 0, "refused": 0}
+    for g in SPLIT_BASES + (3, 7, 999, 1 << 40, 5 ** 30, 2 ** 9 * 5 ** 4 * 7):
+        p, d, c, o = DECIMAL.split(g)
+        for a in (1, 2, 100, 200, 255, 256, 300, 341, 342, 400, 511, 512, 513, 1024, 1025):
+            for j in (0, 1, a // 2, a, 3 * a, 4 * a):
+                got = outcome(DECIMAL.inverse_power, g, a, j)
+                assert got == outcome(division, g, a, j), (g, a, j)
+                if a * g.bit_length() > cap:
+                    routes["refused"] += 1
+                else:
+                    routes["division" if d * a * p.bit_length() > cap else "split"] += 1
+    _POWERS.clear()
+    assert min(routes.values()) > 0
+    assert built and max(e * b.bit_length() for b, e in built) <= cap
 
 
 def test_convergent_validation():
