@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B [--json PATH]
 
 PARENT_DIR and CHANGE_DIR are repository roots.  For each seed from A to
 B, `perfbench/run.py --trace 0` runs once in each tree (from that tree's
@@ -10,13 +10,21 @@ metric of the change's BENCHMARK.json it prints each side's median and
 quartiles, and in how many pairs the change was better (ties count for
 neither).  A metric is marked `gain` when the change won at least nine
 tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  Standard library only; it edits nothing.
+interquartile range.
+
+With `--json PATH` it also writes the whole comparison as one record:
+the workload, seeds and run length, the interpreter version, each
+tree's `git rev-parse HEAD` and whether it had uncommitted changes, each
+side's operation counts, and for each end-to-end metric each side's
+values, median and quartiles, the change/parent median ratio, the wins
+and the gain mark.  Standard library only; it edits nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import statistics
 import subprocess
 import sys
@@ -39,6 +47,29 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
+def tree_state(tree: Path) -> dict:
+    """`git rev-parse HEAD` of `tree` and whether it has uncommitted changes;
+    both None outside a git checkout."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if head else None
+    return {"head": head, "dirty": None if status is None else bool(status)}
+
+
+def compare(metric: dict, parent: list, change: list) -> dict:
+    """Both sides' values, quartiles, wins and gain mark for one metric."""
+    lower = metric["better"] == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    gain = wins >= 0.9 * len(parent) and ((pm - cm) if lower else (cm - pm)) > p3 - p1
+    return {"unit": metric["unit"], "better": metric["better"],
+            "parent": {"values": parent, "median": pm, "quartiles": [p1, p3]},
+            "change": {"values": change, "median": cm, "quartiles": [c1, c3]},
+            "ratio": cm / pm if pm else None, "wins": wins, "gain": gain}
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -50,6 +81,7 @@ def main() -> int:
     ap.add_argument("change", type=Path, metavar="CHANGE_DIR")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
+    ap.add_argument("--json", type=Path, metavar="PATH", help="also write the comparison here")
     args = ap.parse_args()
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -67,21 +99,28 @@ def main() -> int:
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs, seeds {args.seeds.start}-{args.seeds.stop - 1}, "
           f"{seconds} s runs; median [quartiles]")
-    for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        correct = sum(r["correct"] for r in runs[side])
-        print(f"  {side}: {correct}/{pairs} runs correct, {failed}/{attempted} operations failed")
+    operations = {side: {key: sum(r[key] for r in runs[side])
+                         for key in ("correct", "failed", "attempted")} for side in runs}
+    for side, ops in operations.items():
+        print(f"  {side}: {ops['correct']}/{pairs} runs correct, "
+              f"{ops['failed']}/{ops['attempted']} operations failed")
+    metrics = {}
     for metric in bench["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(values["parent"], values["change"]))
-        (p1, pm, p3), (c1, cm, c3) = (quartiles(values[s]) for s in ("parent", "change"))
-        gain = wins >= 0.9 * pairs and ((pm - cm) if lower else (cm - pm)) > p3 - p1
-        print(f"  {name:17s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} "
-              f"[{c1:.4g}, {c3:.4g}]  {metric['unit']}  change better in {wins}/{pairs}"
-              f"{'  gain' if gain else ''}")
+        name = metric["name"]
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
+                          for side in ("parent", "change"))
+        got = metrics[name] = compare(metric, parent, change)
+        text = {side: "{:.4g} [{:.4g}, {:.4g}]".format(got[side]["median"], *got[side]["quartiles"])
+                for side in ("parent", "change")}
+        print(f"  {name:17s} parent {text['parent']}  change {text['change']}  {metric['unit']}"
+              f"  change better in {got['wins']}/{pairs}{'  gain' if got['gain'] else ''}")
+    if args.json:
+        record = {
+            "workload": args.workload, "seeds": list(args.seeds), "run_seconds": seconds,
+            "python": platform.python_version(),
+            "trees": {side: tree_state(getattr(args, side)) for side in ("parent", "change")},
+            "operations": operations, "metrics": metrics}
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

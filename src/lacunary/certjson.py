@@ -13,7 +13,6 @@ carries a notice naming the omitted indices.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import __version__
@@ -98,10 +97,14 @@ def _record_entry(r: IndexRecord) -> dict:
     }
 
 
+# `json` is imported where it is used, so that `import lacunary.cli` does
+# not load it for the commands that print no certificate.
 def dumps(doc) -> str:
+    import json
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True,
                       allow_nan=False) + "\n"
 
 
 def loads(text: str):
+    import json
     return json.loads(text)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
-import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -106,37 +105,50 @@ def _parse_str(field: str, value) -> str:
     return value
 
 
-def _key(default, parse, metavar: str, text: str, command: Optional[str] = None):
-    """A configuration key: its default, the parser of its config value and
-    flag, and the flag's text; the flag is on `command` alone, or on every
-    subcommand when that is None."""
-    return dataclasses.field(default=default, metadata={
-        "parse": parse, "metavar": metavar, "help": text, "command": command})
+# A configuration key: its default, the parser of its config value and
+# flag, and the flag's text; the flag is on `command` alone, or on every
+# subcommand when that is None.
+_Key = namedtuple("_Key", "default parse metavar help command", defaults=(None,))
+
+# Every configuration key, stated once.  Config values and flags are
+# applied in this order, and the flags are listed in it.
+_KEYS = {
+    "g1": _Key(3, _parse_int, "INT", "first base (must exceed g2)"),
+    "g2": _Key(2, _parse_int, "INT", "second base (>= 2)"),
+    "a1": _Key(2, _parse_int, "INT", "first exponent (>= 2)"),
+    "beta": _Key(Fraction(1), _parse_rational, "U/V", "growth exponent, a positive rational"),
+    "op": _Key(Op.SUM, _parse_op, "OP", "sum | difference | product | quotient"),
+    "d": _Key(Fraction(3), _parse_rational, "U/V",
+              "target exponent (witness) or degree (measure)"),
+    "n_from": _Key(1, _parse_int, "INT", "first index"),
+    "n_to": _Key(4, _parse_int, "INT", "last index"),
+    "budget_bits": _Key(DEFAULT_BUDGET_BITS, _parse_int, "INT",
+                        "exponent budget: a_n <= 2**bits"),
+    "digits": _Key(10, _parse_int, "INT", "decimal places (default 10)", "digits"),
+    "alpha": _Key(Fraction(3, 2), _parse_rational, "U/V", "window exponent alpha > 1",
+                  "validate"),
+    "k": _Key(Fraction(2), _parse_rational, "U/V", "window multiplier k > 1", "validate"),
+    "height": _Key(1, _parse_int, "INT", "naive height H (default 1)", "measure"),
+    "out": _Key(None, _parse_str, "PATH", "write output here instead of stdout"),
+}
 
 
-@dataclasses.dataclass
 class RunConfig:
-    """Every configuration key, stated once.  Config values and flags are
-    applied in this order, and the flags are listed in it."""
+    """One value for each key of `_KEYS`: the key's default, read from the
+    class, unless a keyword, a config value or a flag set it on the
+    instance.  `RunConfig(height=2)` sets one key; an unknown keyword is a
+    TypeError."""
 
-    g1: int = _key(3, _parse_int, "INT", "first base (must exceed g2)")
-    g2: int = _key(2, _parse_int, "INT", "second base (>= 2)")
-    a1: int = _key(2, _parse_int, "INT", "first exponent (>= 2)")
-    beta: Fraction = _key(Fraction(1), _parse_rational, "U/V",
-                          "growth exponent, a positive rational")
-    op: Op = _key(Op.SUM, _parse_op, "OP", "sum | difference | product | quotient")
-    d: Fraction = _key(Fraction(3), _parse_rational, "U/V",
-                       "target exponent (witness) or degree (measure)")
-    n_from: int = _key(1, _parse_int, "INT", "first index")
-    n_to: int = _key(4, _parse_int, "INT", "last index")
-    budget_bits: int = _key(DEFAULT_BUDGET_BITS, _parse_int, "INT",
-                            "exponent budget: a_n <= 2**bits")
-    digits: int = _key(10, _parse_int, "INT", "decimal places (default 10)", "digits")
-    alpha: Fraction = _key(Fraction(3, 2), _parse_rational, "U/V",
-                           "window exponent alpha > 1", "validate")
-    k: Fraction = _key(Fraction(2), _parse_rational, "U/V", "window multiplier k > 1", "validate")
-    height: int = _key(1, _parse_int, "INT", "naive height H (default 1)", "measure")
-    out: Optional[str] = _key(None, _parse_str, "PATH", "write output here instead of stdout")
+    def __init__(self, **values):
+        for name, value in values.items():
+            if name not in _KEYS:
+                raise TypeError(f"RunConfig() got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
+
+
+for _name, _key in _KEYS.items():  # every default is immutable, so instances share it
+    setattr(RunConfig, _name, _key.default)
+del _name, _key
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -155,17 +167,11 @@ def _validate(cfg: RunConfig) -> None:
         raise InvalidConfigError("height", f"must be >= 1, got {int_label(cfg.height)}")
 
 
-@functools.cache
-def _parsers() -> dict:
-    """Each configuration key's parser, in RunConfig's field order."""
-    return {f.name: f.metadata["parse"] for f in dataclasses.fields(RunConfig)}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    parsers = _parsers()
     path = getattr(args, "config", None)
     if path:
+        import json  # only a --config call reads JSON
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"),
                              parse_int=lambda text: int(_number_text("config", text)))
@@ -175,14 +181,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidConfigError("config", f"cannot read {value_label(path)}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidConfigError("config", "top level must be a JSON object")
-        for key, value in raw.items():
-            if key not in parsers:
-                raise InvalidConfigError(key, "unknown configuration field")
-            setattr(cfg, key, parsers[key](key, value))
-    for key, parse in parsers.items():
-        value = getattr(args, key, None)
+        for name, value in raw.items():
+            if name not in _KEYS:
+                raise InvalidConfigError(name, "unknown configuration field")
+            setattr(cfg, name, _KEYS[name].parse(name, value))
+    for name, key in _KEYS.items():
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, key, parse(key, value))
+            setattr(cfg, name, key.parse(name, value))
     _validate(cfg)
     return cfg
 
@@ -283,11 +289,10 @@ def _flag(name: str) -> str:
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: Optional[str]) -> None:
-    """The flags of the RunConfig keys whose flag is on `command`."""
-    for f in dataclasses.fields(RunConfig):
-        if f.metadata["command"] == command:
-            parser.add_argument(_flag(f.name),
-                                metavar=f.metadata["metavar"], help=f.metadata["help"])
+    """The flags of the configuration keys whose flag is on `command`."""
+    for name, key in _KEYS.items():
+        if key.command == command:
+            parser.add_argument(_flag(name), metavar=key.metavar, help=key.help)
 
 
 @functools.cache
@@ -313,9 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _flags(command: str) -> dict:
     """The full text of every flag `command` takes, mapped to its Namespace
-    name: --config and the flags of its RunConfig keys."""
-    names = ["config"] + [f.name for f in dataclasses.fields(RunConfig)
-                          if f.metadata["command"] in (None, command)]
+    name: --config and the flags of its configuration keys."""
+    names = ["config"] + [name for name, key in _KEYS.items() if key.command in (None, command)]
     return {_flag(name): name for name in names}
 
 

@@ -7,23 +7,25 @@ of arithmetic here (no rounding anywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+class RationalInterval(namedtuple("RationalInterval", "lo hi")):
+    """[lo, hi] with Fraction ends.  Its operators are interval arithmetic:
+    `+` and `*` are not the tuple's concatenation and repetition, and `in`
+    tests a number's membership."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    __slots__ = ()
+
+    def __new__(cls, lo: Rat, hi: Rat):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @classmethod
     def point(cls, x: Rat) -> "RationalInterval":

@@ -14,9 +14,9 @@ side, never as a silent pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
 from .errors import InvalidConfigError, NotFound, TieEncountered
 from .intmath import exact_decimal
@@ -25,27 +25,24 @@ from .series import DECIMAL
 from .witness import CompositeNumber
 
 
-@dataclass(frozen=True)
-class AlgebraicTarget:
+class AlgebraicTarget(namedtuple("AlgebraicTarget", "degree height")):
     """An algebraic number known only through its degree and height."""
 
-    degree: int
-    height: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 2:
-            raise InvalidConfigError("degree", f"must be an integer >= 2, got {self.degree!r}")
-        if not isinstance(self.height, int) or isinstance(self.height, bool) or self.height < 1:
-            raise InvalidConfigError("height", f"must be an integer >= 1, got {self.height!r}")
+    def __new__(cls, degree: int, height: int):
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
+            raise InvalidConfigError("degree", f"must be an integer >= 2, got {degree!r}")
+        if not isinstance(height, int) or isinstance(height, bool) or height < 1:
+            raise InvalidConfigError("height", f"must be an integer >= 1, got {height!r}")
+        return tuple.__new__(cls, (degree, height))
 
 
-@dataclass(frozen=True)
-class MeasureBound:
-    """Distance bound |value - target| > 1/base**exponent with its derivation trace."""
+class MeasureBound(namedtuple("MeasureBound", "base exponent derivation")):
+    """Distance bound |value - target| > 1/base**exponent with its
+    derivation trace, a tuple of lines."""
 
-    base: int
-    exponent: int
-    derivation: Tuple[str, ...]
+    __slots__ = ()
 
     @property
     def bound(self) -> Fraction:
@@ -73,26 +70,22 @@ def approximation_measure(t: AlgebraicTarget) -> MeasureBound:
     return MeasureBound(base=base, exponent=expo, derivation=derivation)
 
 
-@dataclass(frozen=True)
-class BracketEvidence:
+class BracketEvidence(namedtuple("BracketEvidence", "n left right")):
     """Orderings behind one bracketing attempt: left is
     (g1*g2)**a_n vs (2*H*d**2)**2, right is (g1*g2)**a_{n+1} vs the same
     square.  right is None when the left side already disqualified n."""
 
-    n: int
-    left: Ordering
-    right: Optional[Ordering]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class N1Result:
-    n1: int
-    evidence: Tuple[BracketEvidence, ...]
-    # (g1*g2)**a_{n1+1} > 2*H*d**2 * (g1*g2)**(d*a_{n1}), certified exactly
-    dominance_certified: bool
-    # the sufficient step a_{n1+1} > 2*d*a_{n1}; can fail at small n even
-    # when the dominance above holds through the bracket's slack
-    exponent_step_ok: bool
+class N1Result(namedtuple("N1Result", "n1 evidence dominance_certified exponent_step_ok")):
+    """The bracketing index n1 and the `BracketEvidence` of each index
+    tried.  `dominance_certified`: (g1*g2)**a_{n1+1} > 2*H*d**2 *
+    (g1*g2)**(d*a_{n1}), certified exactly.  `exponent_step_ok`: the
+    sufficient step a_{n1+1} > 2*d*a_{n1}; it can fail at small n even
+    when the dominance holds through the bracket's slack."""
+
+    __slots__ = ()
 
 
 def find_n1(c: CompositeNumber, t: AlgebraicTarget, n_max: int) -> N1Result:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .errors import InvalidConfigError
 from .intmath import introot
@@ -37,31 +36,29 @@ class Ordering(enum.Enum):
     GREATER = "greater"
 
 
-@dataclass(frozen=True)
-class PurePower:
+class PurePower(namedtuple("PurePower", "base exp")):
     """An integer of the form base**exp, kept symbolic."""
 
-    base: int
-    exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or isinstance(self.base, bool) or self.base < 2:
-            raise InvalidConfigError("base", f"must be an integer >= 2, got {self.base!r}")
-        if not isinstance(self.exp, int) or isinstance(self.exp, bool) or self.exp < 0:
-            raise InvalidConfigError("exp", f"must be a nonnegative integer, got {self.exp!r}")
+    def __new__(cls, base: int, exp: int):
+        if not isinstance(base, int) or isinstance(base, bool) or base < 2:
+            raise InvalidConfigError("base", f"must be an integer >= 2, got {base!r}")
+        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
+            raise InvalidConfigError("exp", f"must be a nonnegative integer, got {exp!r}")
+        return tuple.__new__(cls, (base, exp))
 
     def materialize(self) -> int:
         return self.base ** self.exp
 
 
-@dataclass(frozen=True)
-class CompareDiagnostics:
-    """How a comparison was decided; `precisions` lists the fractional-bit
-    precisions tried on the log path (doubling schedule)."""
+class CompareDiagnostics(namedtuple("CompareDiagnostics", "ordering method precisions",
+                                    defaults=((),))):
+    """How a comparison was decided: `method` is "exponent-zero",
+    "common-base" or "log-enclosure", and `precisions` lists the
+    fractional-bit precisions tried on the log path (doubling schedule)."""
 
-    ordering: Ordering
-    method: str  # "exponent-zero" | "common-base" | "log-enclosure"
-    precisions: Tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def compare(x: PurePower, y: PurePower) -> Ordering:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import List
 
@@ -106,27 +106,25 @@ class PowerSchedule:
         return tuple(self._cache)
 
 
-@dataclass(frozen=True)
-class GrowthWindow:
+class GrowthWindow(namedtuple("GrowthWindow", "alpha k")):
     """Accepted growth band: a_n**alpha <= a_{n+1} < a_n**(k*alpha)."""
 
-    alpha: Fraction
-    k: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "k", Fraction(self.k))
-        if self.alpha <= 1:
-            raise InvalidConfigError("alpha", f"must exceed 1, got {value_label(self.alpha)}")
-        if self.k <= 1:
-            raise InvalidConfigError("k", f"must exceed 1, got {value_label(self.k)}")
+    def __new__(cls, alpha, k):
+        alpha, k = Fraction(alpha), Fraction(k)
+        if alpha <= 1:
+            raise InvalidConfigError("alpha", f"must exceed 1, got {value_label(alpha)}")
+        if k <= 1:
+            raise InvalidConfigError("k", f"must exceed 1, got {value_label(k)}")
+        return tuple.__new__(cls, (alpha, k))
 
 
-@dataclass(frozen=True)
-class GrowthCheck:
-    n: int
-    lower_ok: bool  # a_n**alpha <= a_{n+1}
-    upper_ok: bool  # a_{n+1} < a_n**(k*alpha)
+class GrowthCheck(namedtuple("GrowthCheck", "n lower_ok upper_ok")):
+    """The window at index n: `lower_ok` is a_n**alpha <= a_{n+1}, and
+    `upper_ok` is a_{n+1} < a_n**(k*alpha)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

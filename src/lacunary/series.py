@@ -25,7 +25,7 @@ import decimal
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -145,21 +145,19 @@ BINARY = BinaryGrid()
 DECIMAL = DecimalGrid()
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(namedtuple("Convergent", "n p q")):
     """A reduced fraction p/q tagged with the index it came from."""
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidConfigError("n", f"index must be positive, got {self.n}")
-        if self.q < 1:
-            raise InvalidConfigError("q", f"denominator must be positive, got {self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidConfigError("p/q", f"not reduced: gcd({self.p}, {self.q}) > 1")
+    def __new__(cls, n: int, p: int, q: int):
+        if n < 1:
+            raise InvalidConfigError("n", f"index must be positive, got {n}")
+        if q < 1:
+            raise InvalidConfigError("q", f"denominator must be positive, got {q}")
+        if math.gcd(p, q) != 1:
+            raise InvalidConfigError("p/q", f"not reduced: gcd({p}, {q}) > 1")
+        return tuple.__new__(cls, (n, p, q))
 
     @property
     def fraction(self) -> Fraction:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     ExponentBudgetExceeded,
@@ -84,23 +84,21 @@ _APPLY = {
 }
 
 
-@dataclass(frozen=True)
-class CompositeNumber:
+class CompositeNumber(namedtuple("CompositeNumber", "op s1 s2")):
     """theta1 op theta2 for two series over one schedule, g1 > g2 >= 2."""
 
-    op: Op
-    s1: LacunarySeries
-    s2: LacunarySeries
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.op, Op):
-            raise InvalidConfigError("op", f"unknown operation {self.op!r}")
-        if self.s1.base <= self.s2.base:
+    def __new__(cls, op: Op, s1: LacunarySeries, s2: LacunarySeries):
+        if not isinstance(op, Op):
+            raise InvalidConfigError("op", f"unknown operation {op!r}")
+        if s1.base <= s2.base:
             raise InvalidConfigError(
-                "g1", f"first base must exceed the second, got g1={int_label(self.g1)} "
-                f"<= g2={int_label(self.g2)}")
-        if self.s1.schedule is not self.s2.schedule:
+                "g1", f"first base must exceed the second, got g1={int_label(s1.base)} "
+                f"<= g2={int_label(s2.base)}")
+        if s1.schedule is not s2.schedule:
             raise InvalidConfigError("schedule", "both series must share the same schedule object")
+        return tuple.__new__(cls, (op, s1, s2))
 
     @property
     def g1(self) -> int:
@@ -194,16 +192,16 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     return tail * ((1 + 2 * inv_up) * inv_up)
 
 
-@dataclass(frozen=True)
-class ThresholdCheck:
-    n: int
-    passed: bool  # g2**a_{n+1} > (g1*g2)**(d*a_n)
+class ThresholdCheck(namedtuple("ThresholdCheck", "n passed")):
+    """Whether g2**a_{n+1} > (g1*g2)**(d*a_n) at index n."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThresholdScan:
-    n0: int
-    checks: Tuple[ThresholdCheck, ...]
+class ThresholdScan(namedtuple("ThresholdScan", "n0 checks")):
+    """The threshold index n0 and the `ThresholdCheck` of each index scanned."""
+
+    __slots__ = ()
 
 
 def find_n0(c: CompositeNumber, d, n_max: int) -> ThresholdScan:
@@ -239,8 +237,7 @@ def find_n0(c: CompositeNumber, d, n_max: int) -> ThresholdScan:
     return ThresholdScan(n0=n0, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class RothCheck:
+class RothCheck(namedtuple("RothCheck", "n d_eff passed tie margin depth gap")):
     """Outcome of the strict test gap < q**(-d_eff) at one index.
 
     `margin` is the certified ratio gap/threshold as a decimal string:
@@ -251,13 +248,7 @@ class RothCheck:
     the enclosure [lo, hi] * 2**-k that decided, as (lo, hi, k).
     """
 
-    n: int
-    d_eff: Fraction
-    passed: bool
-    tie: bool
-    margin: str
-    depth: int
-    gap: Tuple[int, int, int]
+    __slots__ = ()
 
 
 def verify_roth_instance(c: CompositeNumber, n: int, d_eff) -> RothCheck:
@@ -284,9 +275,14 @@ def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCh
     u, v = d_eff.numerator, d_eff.denominator
     check_power("g2", 64, c.g2.bit_length())
     k = -(-exponent_after(c.schedule, n) * power_bits(c.g2, 64) // 64) + GUARD_BITS
-    qs = gated_pow(conv.q, u, f"q_{n}")
+    check_power(f"q_{n}", u, conv.q.bit_length())  # the first refusal, as q**u
+    qs = None
     for lo, hi, k, depth, _ in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
-        stat = gated_pow(hi, v, "gap.hi") * qs
+        # hi**v passes its gate before q**u is built; lo <= hi, so lo**v passes too
+        stat = gated_pow(hi, v, "gap.hi")
+        if qs is None:
+            qs = gated_pow(conv.q, u, f"q_{n}")
+        stat *= qs
         passed = stat.bit_length() <= k * v
         if not passed:
             stat = gated_pow(lo, v, "gap.lo") * qs
@@ -328,51 +324,38 @@ def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
                             Fraction(num_hi, den[0] if num_hi >= 0 else den[1]))
 
 
-@dataclass(frozen=True)
-class QuotientForms:
+class QuotientForms(namedtuple("QuotientForms", "q_denominator_form p_denominator_form")):
     """Truth values of the two display-level quotient bounds, recorded
     side by side: gap < 4/(q1*q2)**d and gap < 4*(1+theta2)/(q1*p2)**d."""
 
-    q_denominator_form: bool
-    p_denominator_form: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndexRecord:
-    n: int
-    error: Optional[str] = None
-    notice: Optional[str] = None
-    convergent: Optional[Convergent] = None
-    gap_bound: Optional[Fraction] = None
-    bound_dominates: Optional[bool] = None  # roth.gap's hi <= gap_bound cross-check
-    roth: Optional[RothCheck] = None
-    exponent_interval: Optional[RationalInterval] = None
-    forms: Optional[QuotientForms] = None
+class IndexRecord(namedtuple("IndexRecord", "n error notice convergent gap_bound "
+                             "bound_dominates roth exponent_interval forms",
+                             defaults=(None,) * 8)):
+    """What `certify` found at index n: an `error` (a refusal) and a
+    `notice`, or the `Convergent`, the `gap_bound` (a Fraction), the
+    `RothCheck`, the exponent `RationalInterval` and, for the quotient,
+    the `QuotientForms`.  `bound_dominates` cross-checks roth.gap's hi <=
+    gap_bound.  Every field but n defaults to None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(namedtuple(
+        "WitnessCertificate", "op g1 g2 a1 beta budget_bits d d_eff n_from n_to n0 n0_error "
+        "threshold_checks records verdict")):
     """Machine-checkable record of every verified inequality.
 
     Everything in here was decided by exact rational arithmetic or
-    directed log enclosures; records are ordered by index.
+    directed log enclosures; records are ordered by index.  The first ten
+    fields echo the configuration; `n0` (or `n0_error`) and the tuple of
+    `threshold_checks` come from `find_n0`, and `records` holds one
+    `IndexRecord` per index.
     """
 
-    op: Op
-    g1: int
-    g2: int
-    a1: int
-    beta: Fraction
-    budget_bits: int
-    d: Fraction
-    d_eff: Fraction
-    n_from: int
-    n_to: int
-    n0: Optional[int]
-    n0_error: Optional[str]
-    threshold_checks: Tuple[ThresholdCheck, ...]
-    records: Tuple[IndexRecord, ...]
-    verdict: str
+    __slots__ = ()
 
 
 def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertificate:
@@ -407,8 +390,8 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertifica
     for n in range(n_from, n_to + 1):
         rec = _index_record(c, n, d, d_eff)
         if rec.error is not None and n < n_to and len(c.schedule.known()) < n:
-            records.append(replace(
-                rec, notice=f"a_{n} does not exist, so indices {n + 1}..{n_to} are omitted"))
+            records.append(rec._replace(
+                notice=f"a_{n} does not exist, so indices {n + 1}..{n_to} are omitted"))
             break
         records.append(rec)
     passes = sum(1 for r in records if r.roth is not None and r.roth.passed)

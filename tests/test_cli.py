@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -691,8 +690,7 @@ def test_plain_calls_build_no_parser_in_a_fresh_process():
     assert (proc.returncode, proc.stdout) == (0, "0\n1\n"), proc.stderr
 
 
-_FLAG_TEXTS = ["--config"] + ["--" + f.name.replace("_", "-")
-                              for f in dataclasses.fields(cli.RunConfig)]
+_FLAG_TEXTS = ["--config"] + ["--" + name.replace("_", "-") for name in cli._KEYS]
 _OTHER_TOKENS = ["-h", "--help", "--version", "--", "--dig", "--n", "--he", "--bud", "--o"]
 _VALUES = ["2", "3", "7", "1/2", "sum", "quotient", "digits", "", "x y", "-5", "-1/2"]
 _ARGVS = st.one_of(st.just([]), st.builds(

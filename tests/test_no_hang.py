@@ -67,6 +67,9 @@ CASES = [
     # off the 16.6M-bit power
     pytest.param(["witness", "--n-to", "1", "--g1", str(_random_odd(260000, 3)),
                   "--g2", str(_random_odd(259999, 4))], 0, id="witness-huge-bases"),
+    # gap.hi**2000000 is refused before q_1**4000001 (20.7M bits) is built
+    pytest.param(["witness", "--n-to", "1", "--d", "2000001/1000000"], 0,
+                 id="witness-degree-just-above-2"),
 ]
 
 
