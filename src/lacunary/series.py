@@ -42,6 +42,8 @@ from .schedule import PowerSchedule
 
 # Working precision beyond the size of the quantity a decision needs.
 GUARD_BITS = 64
+# A value in [lo, hi] * R**-j, from `terms` terms; `end` is the index the schedule refused, or None
+Enclosure = namedtuple("Enclosure", "lo hi j terms end")
 
 
 class BinaryGrid:
@@ -173,7 +175,7 @@ class LacunarySeries:
         self.base = base
         self.schedule = schedule
         self._partial: dict[int, Convergent] = {}
-        self._on_grid: dict[tuple, tuple] = {}
+        self._on_grid: dict[tuple, Enclosure] = {}
 
     def __repr__(self) -> str:
         return f"LacunarySeries(base={self.base}, schedule={self.schedule!r})"
@@ -210,11 +212,12 @@ class LacunarySeries:
     def depth_bits(self, m: int) -> int:
         """The binary precision at which `on_grid` sums exactly m terms, as
         fine as the tail of the exact m-term enclosure."""
-        return exponent_after(self.schedule, m) * (self.base.bit_length() - 1) - 3
+        num, den, _ = BINARY.log_bounds(self.base)
+        return exponent_after(self.schedule, m) * num // den - 3
 
-    def on_grid(self, k: int, grid=BINARY) -> tuple:
-        """theta in [lo, hi] * R**-j on the grid of radix R, as (lo, hi, j,
-        terms, end); k and j count the grid's places.
+    def on_grid(self, k: int, grid=BINARY) -> Enclosure:
+        """theta as an `Enclosure` on the grid of radix R; k and j count the
+        grid's places.
 
         With num/den <= log_R(g) (`grid.log_bounds`), so that g**a >=
         R**(a*num/den), lo sums floor(R**j / g**a_m) over the M = `terms`
@@ -258,13 +261,13 @@ class LacunarySeries:
             lo = sum((grid.inverse_power(g, a, j) for a in exps if a * num <= j * den),
                      grid.number(0))
             hi = lo + len(exps) + tail
-        got = self._on_grid[grid.radix, k] = (lo, hi, j, len(exps), end if short else None)
+        got = self._on_grid[grid.radix, k] = Enclosure(lo, hi, j, len(exps), end if short else None)
         return got
 
     def enclose(self, n_terms: int) -> RationalInterval:
         """Interval containing theta: `on_grid` at `depth_bits(n_terms)`."""
-        lo, hi, k, _, _ = self.on_grid(self.depth_bits(n_terms))
-        return RationalInterval.dyadic(lo, hi, k)
+        got = self.on_grid(self.depth_bits(n_terms))
+        return RationalInterval.dyadic(got.lo, got.hi, got.j)
 
     def decimal_digits(self, digits: int) -> str:
         """Decimal expansion of theta truncated toward zero to `digits` places."""
@@ -281,26 +284,24 @@ def exponent_after(schedule: PowerSchedule, m: int) -> int:
 
 
 def deepen(enclose, k: int, schedule: PowerSchedule):
-    """Yield `enclose(k)`, `enclose(2k)`, ... (enclosures as from
-    `LacunarySeries.on_grid`, k counted in bits) until one stalls at the
-    schedule's end or 2k would pass MATERIALIZE_BITS.  A stall asks the
-    schedule for the refused index again, so a non-integral exponent is
-    raised in its own words."""
+    """Yield `enclose(k)`, `enclose(2k)`, ... (`Enclosure`s, k counted in
+    bits) until one stalls at the schedule's end or 2k would pass
+    MATERIALIZE_BITS.  A stall asks the schedule for the refused index
+    again, so a non-integral exponent is raised in its own words."""
     while True:
         got = enclose(k)
         yield got
-        if got[4] is not None:
+        if got.end is not None:
             with contextlib.suppress(ExponentBudgetExceeded):
-                schedule.exponent(got[4])
-        if got[4] is not None or 2 * k > MATERIALIZE_BITS:
+                schedule.exponent(got.end)
+        if got.end is not None or 2 * k > MATERIALIZE_BITS:
             return
         k *= 2
 
 
 def certified_digits(enclose, digits: int, schedule: PowerSchedule) -> str:
     """Toward-zero expansion to `digits` places of the value that every
-    enclosure `enclose(K)` on the decimal grid 10**-K (as
-    `LacunarySeries.on_grid` with DECIMAL) contains.
+    `Enclosure` `enclose(K)` on the decimal grid 10**-K contains.
 
     `deepen` runs k up in bits from ceil(digits*log2(10)) + GUARD_BITS,
     and each enclosure is taken at K = DECIMAL.places(k), so that 10**-K
@@ -313,11 +314,11 @@ def certified_digits(enclose, digits: int, schedule: PowerSchedule) -> str:
         raise InvalidConfigError("digits", f"must be a positive integer, got {digits!r}")
     k = digits * 3322 // 1000 + GUARD_BITS + 1
     with exact_decimal(), contextlib.suppress(ExponentBudgetExceeded):
-        for lo, hi, j, _, _ in deepen(lambda k: enclose(DECIMAL.places(k)), k, schedule):
-            if j <= digits:  # a grid no finer than 10**-digits: hi > lo truncate apart
+        for got in deepen(lambda k: enclose(DECIMAL.places(k)), k, schedule):
+            if got.j <= digits:  # a grid no finer than 10**-digits: hi > lo truncate apart
                 continue
-            t = [x.scaleb(digits - j).to_integral_value(rounding=decimal.ROUND_DOWN)
-                 for x in (lo, hi)]
+            t = [x.scaleb(digits - got.j).to_integral_value(rounding=decimal.ROUND_DOWN)
+                 for x in (got.lo, got.hi)]
             if t[0] == t[1]:  # t has exponent 0
                 return format_fixed(t[0], digits)
     raise PrecisionUnattainable(

@@ -43,8 +43,8 @@ from .intmath import (check_power, exact_decimal, gated_pow, int_divmod, int_lab
 from .interval import RationalInterval
 from .logenc import ln_fraction_interval, ln_int_interval
 from .powercmp import Ordering, PurePower, compare
-from .series import (BINARY, DECIMAL, GUARD_BITS, Convergent, LacunarySeries, certified_digits,
-                     deepen, exponent_after)
+from .series import (BINARY, DECIMAL, GUARD_BITS, Convergent, Enclosure, LacunarySeries,
+                     certified_digits, deepen, exponent_after)
 
 _MARGIN_DIGITS = 8
 
@@ -125,45 +125,43 @@ def composite_convergent(c: CompositeNumber, n: int) -> Convergent:
     return Convergent(n, f.numerator, f.denominator)
 
 
-def _value_on_grid(c: CompositeNumber, k: int, grid=BINARY) -> tuple:
-    """The composite value in [lo, hi] * R**-j, as `LacunarySeries.on_grid`
-    returns it: both series at one precision, combined by the op table."""
+def _value_on_grid(c: CompositeNumber, k: int, grid=BINARY) -> Enclosure:
+    """The composite value as an `Enclosure`: both series at one
+    precision, combined by the op table."""
     if c.op is Op.QUOTIENT:  # theta2 > g2**-a1: keep its lower end off 0
         k = max(k, grid.places(c.schedule.exponent(1) * c.g2.bit_length() + GUARD_BITS))
-    j = min(c.s1.on_grid(k, grid)[2], c.s2.on_grid(k, grid)[2])
-    l1, h1, _, t1, end1 = c.s1.on_grid(j, grid)
-    l2, h2, _, t2, end2 = c.s2.on_grid(j, grid)
+    j = min(c.s1.on_grid(k, grid).j, c.s2.on_grid(k, grid).j)
+    e1, e2 = c.s1.on_grid(j, grid), c.s2.on_grid(j, grid)
     with exact_decimal():
-        lo, hi = _APPLY[c.op][1](l1, h1, l2, h2, j, grid)
-    return lo, hi, j, max(t1, t2), end1 or end2
+        lo, hi = _APPLY[c.op][1](e1.lo, e1.hi, e2.lo, e2.hi, j, grid)
+    return Enclosure(lo, hi, j, max(e1.terms, e2.terms), e1.end or e2.end)
 
 
-def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> tuple:
-    """|value - p/q| in [lo, hi] * 2**-j, as `_value_on_grid` returns it."""
-    lo, hi, j, terms, end = _value_on_grid(c, k)
-    f, r = int_divmod(conv.p << j, conv.q)  # f = floor(p/q * 2**j)
-    lo -= f + (r > 0)
-    hi -= f
+def _gap_dyadic(c: CompositeNumber, conv: Convergent, k: int) -> Enclosure:
+    """|value - p/q| as an `Enclosure` on the binary grid."""
+    got = _value_on_grid(c, k)
+    f, r = int_divmod(conv.p << got.j, conv.q)  # f = floor(p/q * 2**j)
+    lo, hi = got.lo - f - (r > 0), got.hi - f
     if hi < 0:
         lo, hi = -hi, -lo
     elif lo < 0:
         lo, hi = 0, max(-lo, hi)
-    return lo, hi, j, terms, end
+    return got._replace(lo=lo, hi=hi)
 
 
 def value_enclosure(c: CompositeNumber, depth: int) -> RationalInterval:
     """Interval containing the composite value, at the precision of the
     exact per-series enclosures of `depth` terms."""
-    lo, hi, k, _, _ = _value_on_grid(c, c.s2.depth_bits(depth))  # g2 < g1: the coarser
-    return RationalInterval.dyadic(lo, hi, k)
+    got = _value_on_grid(c, c.s2.depth_bits(depth))  # g2 < g1: the coarser
+    return RationalInterval.dyadic(got.lo, got.hi, got.j)
 
 
 def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterval:
     """Interval enclosing |value - convergent_n| at the precision of a
     depth-`depth` value enclosure.  depth <= n is legal but yields a
     one-sided interval with lower endpoint 0, useless for certification."""
-    lo, hi, k, _, _ = _gap_dyadic(c, composite_convergent(c, n), c.s2.depth_bits(depth))
-    return RationalInterval.dyadic(lo, hi, k)
+    got = _gap_dyadic(c, composite_convergent(c, n), c.s2.depth_bits(depth))
+    return RationalInterval.dyadic(got.lo, got.hi, got.j)
 
 
 def gap_bound(c: CompositeNumber, n: int) -> Fraction:
@@ -179,7 +177,7 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     if c.op in (Op.SUM, Op.DIFFERENCE):
         return 2 * tail
     if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
-        h1, h2 = c.s1.on_grid(GUARD_BITS)[1], c.s2.on_grid(GUARD_BITS)[1]
+        h1, h2 = c.s1.on_grid(GUARD_BITS).hi, c.s2.on_grid(GUARD_BITS).hi
         return tail * Fraction((1 << GUARD_BITS) + h1 + h2, 1 << GUARD_BITS)
     # quotient
     if n < 2:
@@ -277,20 +275,21 @@ def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCh
     k = -(-exponent_after(c.schedule, n) * power_bits(c.g2, 64) // 64) + GUARD_BITS
     check_power(f"q_{n}", u, conv.q.bit_length())  # the first refusal, as q**u
     qs = None
-    for lo, hi, k, depth, _ in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
+    for gap in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
+        k = gap.j
         # hi**v passes its gate before q**u is built; lo <= hi, so lo**v passes too
-        stat = gated_pow(hi, v, "gap.hi")
+        stat = gated_pow(gap.hi, v, "gap.hi")
         if qs is None:
             qs = gated_pow(conv.q, u, f"q_{n}")
         stat *= qs
         passed = stat.bit_length() <= k * v
         if not passed:
-            stat = gated_pow(lo, v, "gap.lo") * qs
+            stat = gated_pow(gap.lo, v, "gap.lo") * qs
         if passed or stat.bit_length() > k * v:
             return RothCheck(
                 n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
                 margin=root_sci_string(stat, k * v, v, _MARGIN_DIGITS),
-                depth=depth, gap=(lo, hi, k))
+                depth=gap.terms, gap=(gap.lo, gap.hi, k))
     raise InsufficientDepth(
         f"no working precision up to {k} bits separates the gap at n={n} from the threshold")
 
@@ -302,8 +301,8 @@ def empirical_exponent(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     deeper enclosures give strictly narrower exponent intervals.
     """
     conv = composite_convergent(c, n)
-    lo, hi, k, _, _ = _gap_dyadic(c, conv, c.s2.depth_bits(depth))
-    return _exponent_interval((lo, hi, k), conv.q, 64 * depth)
+    gap = _gap_dyadic(c, conv, c.s2.depth_bits(depth))
+    return _exponent_interval((gap.lo, gap.hi, gap.j), conv.q, 64 * depth)
 
 
 def _exponent_interval(gap: tuple, q: int, prec: int) -> RationalInterval:
@@ -409,11 +408,16 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertifica
 
 def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> IndexRecord:
     try:
-        conv = composite_convergent(c, n)
+        # the gates of the convergent and of `gap_bound`'s tail, in the order
+        # they fire, before the convergent is built
+        c.s1.checked_exponent(n)
+        c.s2.checked_exponent(n)
         if c.op is Op.QUOTIENT and n < 2:
             return IndexRecord(
-                n=n, convergent=conv,
+                n=n, convergent=composite_convergent(c, n),
                 notice="quotient verification starts at n=2; only the convergent is recorded")
+        c.s2.checked_exponent(n + 1)
+        conv = composite_convergent(c, n)
         bound = gap_bound(c, n)
         roth = _roth_check(c, conv, d_eff)
         _, hi, k = roth.gap
@@ -439,7 +443,7 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
     m, j = lowest_dyadic(gap_hi, k)  # gap.hi = m/2**j in lowest terms
     ps1 = c.s1.partial_sum(n)
     ps2 = c.s2.partial_sum(n)
-    h2 = c.s2.on_grid(GUARD_BITS)[1]  # theta2 < h2 * 2**-GUARD_BITS
+    h2 = c.s2.on_grid(GUARD_BITS).hi  # theta2 < h2 * 2**-GUARD_BITS
     num = gated_pow(m, dv, "gap.hi")
     check_power("gap.hi", dv, j + 1)  # (2**j)**dv, applied as shifts
     q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 1 << (j + 2) * dv

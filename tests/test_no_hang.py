@@ -70,6 +70,10 @@ CASES = [
     # gap.hi**2000000 is refused before q_1**4000001 (20.7M bits) is built
     pytest.param(["witness", "--n-to", "1", "--d", "2000001/1000000"], 0,
                  id="witness-degree-just-above-2"),
+    # a_4 = 2**48 is over the budget: the record at n = 3 is refused before
+    # partial_sum(3) builds 3**(2**24)
+    pytest.param(["witness", "--budget-bits", "25", "--a1", "64", "--n-from", "3", "--n-to", "3"],
+                 0, id="witness-tail-refused-before-convergent"),
 ]
 
 

@@ -19,6 +19,7 @@ from lacunary.schedule import PowerSchedule
 from lacunary.series import (
     DECIMAL,
     Convergent,
+    Enclosure,
     LacunarySeries,
     certified_digits,
     deepen,
@@ -303,7 +304,7 @@ def test_rigorous_tail_upper_falls_back_to_doubled_exponent():
 
 def test_deepen_doubles_to_the_cap_and_stops_at_the_schedule_end():
     def enclose_ending_at(end):
-        return lambda k: (0, 1, k, 1, end)
+        return lambda k: Enclosure(0, 1, k, 1, end)
 
     sched = PowerSchedule(16, Fraction(1, 2))  # a_4 is refused: not an integer
     ks = [got[2] for got in deepen(enclose_ending_at(None), 1 << 20, sched)]
@@ -423,7 +424,7 @@ def test_certified_digits_truncate_like_fractions(lo, width, j, digits):
     # either sign: its digits are those of both ends' exact toward-zero
     # truncation, or it is refused
     ends = [int(Fraction(x, 10 ** j) * 10 ** digits) for x in (lo, lo + width)]
-    got = lambda k: (Decimal(lo), Decimal(lo + width), j, 1, None)  # noqa: E731
+    got = lambda k: Enclosure(Decimal(lo), Decimal(lo + width), j, 1, None)  # noqa: E731
     if ends[0] == ends[1]:
         assert certified_digits(got, digits, None) == format_fixed(ends[0], digits)
     else:

@@ -19,7 +19,7 @@ from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
 from lacunary.schedule import PowerSchedule
 from lacunary import intmath, witness
 from lacunary.intmath import exact_decimal
-from lacunary.series import BINARY, DECIMAL, Convergent, LacunarySeries, format_fixed
+from lacunary.series import BINARY, DECIMAL, Convergent, Enclosure, LacunarySeries, format_fixed
 from lacunary.witness import (
     CompositeNumber,
     Op,
@@ -269,6 +269,33 @@ def test_roth_instance_validation_and_depth_exhaustion():
         verify_roth_instance(shallow, 4, Fraction(5, 2))
 
 
+def _roth_on_gap(gap, q):
+    """`_roth_check` at d_eff = 3 on a convergent 1/q whose gap is `gap` at
+    every precision."""
+    with mock.patch.object(witness, "_gap_dyadic", lambda c, conv, k: gap):
+        return witness._roth_check(build_example(Op.SUM), Convergent(1, 1, q), Fraction(3))
+
+
+def test_roth_margin_just_under_one_passes():
+    # hi * q**3 = (2**18 - 1)/27 * 27 = 2**18 - 1 < 2**18: a pass by one unit
+    chk = _roth_on_gap(Enclosure((2**18 - 1) // 27, (2**18 - 1) // 27, 18, 1, None), 3)
+    assert chk.passed and not chk.tie and chk.margin == "9.9999618e-1"
+
+
+def test_roth_exact_tie_is_a_certified_fail():
+    # lo * q**3 = 2**25 * 2**15 = 2**40: the gap hits the threshold exactly
+    chk = _roth_on_gap(Enclosure(2**25, 2**25, 40, 1, None), 2**5)
+    assert not chk.passed and chk.tie and chk.margin == "1.0000000e+0"
+
+
+def test_bound_dominates_an_exactly_equal_gap_end():
+    c, d = build_example(Op.SUM), Fraction(3)
+    _, hi, k = witness._index_record(c, 2, d, (2 + d) / 2).roth.gap
+    with mock.patch.object(witness, "gap_bound", lambda c, n: Fraction(hi, 2**k)):
+        rec = witness._index_record(c, 2, d, (2 + d) / 2)
+    assert rec.gap_bound * 2**k == hi and rec.bound_dominates is True
+
+
 def test_empirical_exponent_values_and_widths():
     c = build_example(Op.SUM)
     expected = [
@@ -336,6 +363,23 @@ def test_certify_embeds_component_errors():
     # the index-4 gap bound already needs a_5 = 65536, over a 2**10 budget
     assert "ExponentBudgetExceeded" in errs[0].error
     assert [r.roth.passed for r in cert.records if r.roth] == [False, False, True]
+
+
+def test_index_record_refuses_the_tail_before_building_the_convergent(monkeypatch):
+    # a_4 = 4096**2 is over a 12-bit budget: the record at n = 3 is refused
+    # by the gate of gap_bound's tail before partial_sum(3) is built
+    built = []
+    partial_sum = LacunarySeries.partial_sum
+    monkeypatch.setattr(LacunarySeries, "partial_sum",
+                        lambda s, n: built.append(n) or partial_sum(s, n))
+    for op in Op:
+        built.clear()
+        sched = PowerSchedule(8, Fraction(1), budget_bits=12)
+        c = CompositeNumber(op, LacunarySeries(3, sched), LacunarySeries(2, sched))
+        records = certify(c, 3, (1, 4)).records
+        assert [r.error for r in records[2:]] == [
+            "ExponentBudgetExceeded: a_4 = 4096**(2) exceeds the 2**12 exponent budget"] * 2
+        assert 3 not in built and 4 not in built
 
 
 def test_starting_precision_power_is_gated(monkeypatch):
@@ -466,7 +510,7 @@ def test_gap_ends_match_separate_floor_and_ceiling(lo, width, p, q, j):
     hi = lo + width
     up, down = lo - -((-p << j) // q), hi - ((p << j) // q)
     want = (-down, -up) if down < 0 else (0, max(-up, down)) if up < 0 else (up, down)
-    with mock.patch.object(witness, "_value_on_grid", lambda c, k: (lo, hi, j, 1, None)):
+    with mock.patch.object(witness, "_value_on_grid", lambda c, k: Enclosure(lo, hi, j, 1, None)):
         got = _gap_dyadic(None, SimpleNamespace(p=p, q=q), j)
     assert got == (*want, j, 1, None)
 
