@@ -17,7 +17,10 @@ the workload, seeds and run length, the interpreter version, each
 tree's `git rev-parse HEAD` and whether it had uncommitted changes, each
 side's operation counts, and for each end-to-end metric each side's
 values, median and quartiles, the change/parent median ratio, the wins
-and the gain mark.  Standard library only; it edits nothing else.
+and the gain mark.  Both trees must then be git checkouts, so that the
+record names both commits: a tree that is not (a `git archive` copy, say)
+exits 2 before any run; `git worktree add --detach DIR REV` makes a
+parent tree that is.  Standard library only; it edits nothing else.
 """
 
 from __future__ import annotations
@@ -84,6 +87,14 @@ def main() -> int:
     ap.add_argument("--json", type=Path, metavar="PATH", help="also write the comparison here")
     args = ap.parse_args()
 
+    trees = ({side: tree_state(getattr(args, side)) for side in ("parent", "change")}
+             if args.json else {})
+    for side, state in trees.items():
+        if state["head"] is None:
+            print(f"{side} tree {getattr(args, side)} is not a git checkout, so --json cannot "
+                  "name its commit; make one with `git worktree add --detach DIR REV`",
+                  file=sys.stderr)
+            return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     runs = {"parent": [], "change": []}
@@ -118,7 +129,7 @@ def main() -> int:
         record = {
             "workload": args.workload, "seeds": list(args.seeds), "run_seconds": seconds,
             "python": platform.python_version(),
-            "trees": {side: tree_state(getattr(args, side)) for side in ("parent", "change")},
+            "trees": trees,
             "operations": operations, "metrics": metrics}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -61,6 +61,8 @@ MUTANTS = [
            "gap_bound's check theta2 > g2**-a1"),
     Mutant("M16", "src/lacunary/witness.py", "elif not passed and n0 is not None:",
            "elif False:", "find_n0's relapse check"),
+    Mutant("M17", "src/lacunary/series.py", "power_bits(o, a) > m", "power_bits(o, a) >= m",
+           "BinaryGrid.inverse_power's zero test"),
 ]
 
 EXPECTED_SURVIVORS = {

@@ -8,7 +8,6 @@ arithmetic; no float enters this module at all.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import decimal
 import sys
@@ -127,50 +126,43 @@ class _PowerTable:
     """Decimal(b**e) by (b, e), kept for the life of the process: the
     certificates of one schedule print the same and nearby powers of two,
     and the decimal grid's terms of one series take the same powers of 5,
-    2, g and its odd part at every precision.  `keys` is the sorted key
-    list of `values`, and `bits` the sum of e * bits(b - 1) over the keys,
-    each b**e's width bound (b <= 2**bits(b - 1); for b = 2 that is e).
-    `lock` is held by a whole lookup or conversion; Decimal arithmetic
-    holds the interpreter lock, so threads lose no parallelism by it.
+    2, g and its odd part at every precision.  `bits` is the sum of e *
+    bits(b - 1) over the keys of `values`, each b**e's width bound (b <=
+    2**bits(b - 1); for b = 2 that is e).  `lock` is held by a whole
+    lookup or conversion; Decimal arithmetic holds the interpreter lock,
+    so threads lose no parallelism by it.
     """
 
-    __slots__ = ("values", "keys", "bits", "lock")
+    __slots__ = ("values", "bits", "lock")
 
     def __init__(self):
         self.values = {}
-        self.keys = []
         self.bits = 0
         self.lock = threading.Lock()
 
     def clear(self):
         self.values.clear()
-        self.keys.clear()
         self.bits = 0
 
     def power(self, b: int, e: int) -> decimal.Decimal:
         """Decimal(b**e) for b >= 2 and e >= 0, run with `lock` held.  An
         entry held is returned; a b**e of at most _LEAF_BITS bits, or with
-        e <= 1, is converted directly; one within _LEAF_BITS // 4 bits
-        above the held b**e' with the largest e' < e is the one product
-        b**e' * b**(e - e'); any other is the product of its halves, each
-        product in the exact context.  The table is cleared whole before a
-        new entry would take `bits` past 2 * MATERIALIZE_BITS, and a wider
-        b**e is returned but not kept, so the bound holds for any caller."""
+        e <= 1, is converted directly; any other is the product b**h *
+        b**(e - h) in the exact context, h the largest exponent of b held
+        with e // 2 <= h < e, or e // 2 if none is.  The table is cleared
+        whole before a new entry would take `bits` past 2 *
+        MATERIALIZE_BITS, and a wider b**e is returned but not kept, so the
+        bound holds for any caller."""
         key = (b, e)
         r = self.values.get(key)
         if r is not None:
             return r
-        step = (b - 1).bit_length()
-        width = e * step
+        width = e * (b - 1).bit_length()
         if e <= 1 or width <= _LEAF_BITS:
             r = decimal.Decimal(b ** e)
         else:
-            i = bisect.bisect_left(self.keys, key)
-            near_b, near_e = self.keys[i - 1] if i else (None, 0)
-            if near_b == b and (e - near_e) * step <= _LEAF_BITS // 4:
-                x, y = self.values[near_b, near_e], decimal.Decimal(b ** (e - near_e))
-            else:
-                x, y = self.power(b, e >> 1), self.power(b, e - (e >> 1))
+            h = max((k for c, k in self.values if c == b and e >> 1 <= k < e), default=e >> 1)
+            x, y = self.power(b, h), self.power(b, e - h)
             with exact_decimal():
                 r = x * y
         cap = 2 * MATERIALIZE_BITS
@@ -179,7 +171,6 @@ class _PowerTable:
         if self.bits + width > cap:
             self.clear()
         self.values[key] = r
-        bisect.insort(self.keys, key)
         self.bits += width
         return r
 
@@ -208,9 +199,8 @@ def decimal_str(n: int) -> str:
     decimal.Decimal, whose multiplication is subquadratic (Tim Peters'
     algorithm, CPython 3.12's Lib/_pylong.py).  The factor 2**z of n is
     split off first and applied as one Decimal product, in the exact
-    context.  Every power of two is a base-2 entry of the one process-wide
-    table _POWERS, held for the whole conversion (`_PowerTable.power`
-    states its reuse rule and its bound).
+    context.  Every power of two comes from `decimal_power`
+    (`_PowerTable.power` states its reuse rule and its bound).
 
     It prints the integers born binary: convergents (`cli`) and
     certificates (`certjson`: convergents, gap ends over 2**k and the gap
@@ -221,20 +211,19 @@ def decimal_str(n: int) -> str:
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)
     D = decimal.Decimal
-    power = _POWERS.power
 
     def rebuild(m, w):  # Decimal(m) for 0 <= m < 2**w
         if w <= _LEAF_BITS:
             return D(m)
         h = w >> 1
         hi = m >> h
-        return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * power(2, h)
+        return rebuild(m - (hi << h), h) + rebuild(hi, w - h) * decimal_power(2, h)
 
-    with _POWERS.lock, exact_decimal():
+    with exact_decimal():
         m = abs(n)
         z = (m & -m).bit_length() - 1
         odd = m >> z
-        digits = str(rebuild(odd, odd.bit_length()) * power(2, z))
+        digits = str(rebuild(odd, odd.bit_length()) * decimal_power(2, z))
     return "-" + digits if n < 0 else digits
 
 

@@ -36,7 +36,7 @@ from .errors import (
     PrecisionUnattainable,
 )
 from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, decimal_power, exact_decimal,
-                      gated_pow, int_divmod)
+                      gated_pow, int_divmod, power_bits)
 from .interval import RationalInterval
 from .schedule import PowerSchedule
 
@@ -60,19 +60,23 @@ class BinaryGrid:
 
     def log_bounds(self, g: int) -> tuple:
         """(num, den, up) with num/den <= log2(g) < up.  The lower bound
-        stays floor(log2 g), though it builds terms that floor to 0: a
-        finer one changes the witness certificates' bytes."""
+        stays floor(log2 g): a finer one changes the witness certificates'
+        bytes, and the terms it adds floor to 0 and are counted, not built."""
         return g.bit_length() - 1, 1, g.bit_length()
 
     def power(self, g: int, e: int) -> int:
         return gated_pow(g, e)
 
     def inverse_power(self, g: int, a: int, j: int) -> int:
-        """floor(2**j / g**a) for g**a <= 2**j: g = odd * 2**z divides as a
-        shift by z*a and a division by odd**a, gated as g**a."""
+        """floor(2**j / g**a) for z*a <= j, gated as g**a: g = o * 2**z with o
+        odd is a shift by z*a and a division by o**a, skipped (the floor is
+        0) when o > 1 and bits(o**a) > m = j - z*a, so that o**a > 2**m."""
         z = (g & -g).bit_length() - 1
         check_power(g, a, g.bit_length())
-        return int_divmod(1 << j - z * a, (g >> z) ** a)[0]
+        o, m = g >> z, j - z * a
+        if a * o.bit_length() > m and o > 1 and power_bits(o, a) > m:
+            return 0
+        return int_divmod(1 << m, o ** a)[0]
 
 
 class DecimalGrid:

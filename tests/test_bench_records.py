@@ -1,8 +1,11 @@
 """Every committed `BENCH_*.json` (written by `scripts/bench_pairs.py
---json`) keeps its shape, and its summary follows from its own values."""
+--json`) keeps its shape, and its summary follows from its own values;
+`bench_pairs.py --json` refuses a tree whose commit it cannot name."""
 
 import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,12 @@ def test_bench_record_shape(path):
         assert got["wins"] == wins
         assert got["gain"] == (wins >= 0.9 * pairs
                                and ((pm - cm) if lower else (cm - pm)) > spread["parent"])
+
+
+def test_json_refuses_a_tree_that_is_not_a_git_checkout(tmp_path):
+    out = tmp_path / "record.json"
+    argv = [str(tmp_path), str(ROOT), "--workload", "certify", "--seeds", "1-1", "--json", str(out)]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "git worktree add --detach DIR REV" in proc.stderr and not out.exists()

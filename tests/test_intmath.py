@@ -98,30 +98,28 @@ def cold_powers():
 
 def _power_path(table, b, e):
     """How table.power(b, e) is to get b**e, read from the table as it
-    stands: ("hit", 0), ("leaf", 0), or ("near", d) or ("halve", d) for d
-    = e minus the largest exponent of b held below e (None if none is)."""
+    stands: ("hit", 0), ("leaf", 0), ("held", e - h) for h the largest
+    exponent of b held with e // 2 <= h < e, or ("halve", None) if none is."""
     if (b, e) in table.values:
         return "hit", 0
-    width = (b - 1).bit_length()
-    if e <= 1 or e * width <= _LEAF_BITS:
+    if e <= 1 or e * (b - 1).bit_length() <= _LEAF_BITS:
         return "leaf", 0
-    below = [k for c, k in table.keys if c == b and k < e]
-    d = e - below[-1] if below else None
-    return ("near" if d is not None and d * width <= _LEAF_BITS // 4 else "halve"), d
+    held = [k for c, k in table.values if c == b and e // 2 <= k < e]
+    return ("held", e - max(held)) if held else ("halve", None)
 
 
 def _record_paths(monkeypatch):
-    """Make every _PowerTable.power call append (path, d, the number of
-    power calls it made itself, b) to the returned list."""
+    """Make every _PowerTable.power call append (path, d, the paths of the
+    power calls it made itself, b) to the returned list, callees first."""
     real = intmath._PowerTable.power
-    seen = []
+    seen, callers = [], [[]]
 
     def spy(table, b, e):
         path = _power_path(table, b, e)
-        i = len(seen)
-        seen.append(None)
+        callers[-1].append(path)
+        callers.append([])
         r = real(table, b, e)
-        seen[i] = (*path, len(seen) - i - 1, b)
+        seen.append((*path, tuple(callers.pop()), b))
         return r
 
     monkeypatch.setattr(intmath._PowerTable, "power", spy)
@@ -129,8 +127,8 @@ def _record_paths(monkeypatch):
 
 
 def _table_bits(table):
-    """The width bound the table keeps in `bits`, summed over its keys."""
-    return sum(e * (b - 1).bit_length() for b, e in table.keys)
+    """The width bound the table keeps in `bits`, summed over `values`."""
+    return sum(e * (b - 1).bit_length() for b, e in table.values)
 
 
 def test_decimal_str_reuses_and_derives_powers_of_two(cold_powers, monkeypatch):
@@ -157,16 +155,22 @@ def test_decimal_str_reuses_and_derives_powers_of_two(cold_powers, monkeypatch):
     assert 0 < ns.index("clear") < len(ns) - 1
     assert {b for *_, b in seen} == {2}
     paths = {(path, d) for path, d, _, _ in seen}
-    assert {("hit", 0), ("leaf", 0), ("near", 1), ("near", 1024), ("halve", 1025)} <= paths
-    # a hit, a leaf and a nearest-key product make no further power call
-    assert {made for path, _, made, _ in seen if path != "halve"} == {0}
-    assert min(made for path, _, made, _ in seen if path == "halve") >= 2
+    assert {("hit", 0), ("leaf", 0), ("held", 1), ("held", 1024), ("held", 1025),
+            ("halve", None)} <= paths
+    # a hit and a leaf make no further power call; a held b**h is read as a
+    # hit, and exactly one further call gets b**d, d = e - h, which at d <=
+    # _LEAF_BITS is itself a hit or a leaf; a cold halve builds b**(e // 2)
+    assert {made for path, _, made, _ in seen if path in ("hit", "leaf")} == {()}
+    held = [(d, made) for path, d, made, _ in seen if path == "held"]
+    assert all(len(made) == 2 and made[0] == ("hit", 0) for _, made in held)
+    assert {made[1] for d, made in held if d <= _LEAF_BITS} == {("hit", 0), ("leaf", 0)}
+    assert all(len(made) == 2 and made[0][0] != "hit"
+               for path, _, made, _ in seen if path == "halve")
 
 
 def test_decimal_powers_of_other_bases_follow_the_same_rule(cold_powers, monkeypatch):
-    # bases 5, 3, a wide odd base and 2 side by side: exact values, a
-    # nearest key is one of the same base only, and its distance is
-    # counted in bits, bits(b - 1) = 3 a step for b = 5 (1,024 // 3 = 341)
+    # bases 5, 3, a wide odd base and 2 side by side: exact values, and a
+    # held exponent is one of the same base only, at any distance d
     wide = (1 << 5000) + 1
     asks = [(5, 20_000), (5, 20_341), (5, 20_342 + 341), (5, 41_000), (3, 20_000),
             (3, 20_512), (3, 20_513 + 512), (wide, 1), (wide, 2), (wide, 3), (2, 20_001),
@@ -174,11 +178,10 @@ def test_decimal_powers_of_other_bases_follow_the_same_rule(cold_powers, monkeyp
     seen = _record_paths(monkeypatch)
     for b, e in asks:
         assert intmath.decimal_power(b, e) == b ** e
-    assert cold_powers.keys == sorted(cold_powers.values)
     assert cold_powers.bits == _table_bits(cold_powers)
     paths = {(b, path, d) for path, d, _, b in seen}
-    assert {(5, "near", 341), (5, "halve", 342), (3, "near", 512), (3, "halve", 513),
-            (wide, "leaf", 0), (2, "halve", None)} <= paths
+    assert {(5, "held", 341), (5, "held", 342), (3, "halve", None), (3, "held", 512),
+            (3, "held", 513), (wide, "leaf", 0), (wide, "held", 1), (2, "halve", None)} <= paths
     # a held entry is read by decimal_power itself
     made = len(seen)
     assert intmath.decimal_power(5, 20_000) == 5 ** 20_000
@@ -190,20 +193,19 @@ def test_power_table_stays_under_its_bound(cold_powers, monkeypatch):
     cap = 2 * intmath.MATERIALIZE_BITS
     decimal_str(2**STR_CUTOVER_BITS - 1)
     decimal_str(-(3 << STR_CUTOVER_BITS - 2))
-    assert cold_powers.keys == [] and cold_powers.values == {}
+    assert cold_powers.values == {}
     widths = [40_000, 61_000, 83_000, 99_000, 120_000, 41_000, 130_000, cap + 1]
     assert sum(widths) > cap
     cleared, bases = False, set()
     for w in widths:
-        before = set(cold_powers.keys)
+        before = set(cold_powers.values)
         assert decimal_str(1 << w) == str(1 << w)
         assert decimal_str(5 << w) == str(5 << w)
         # mixed bases: 5**e and 10**e count 3 and 4 bits a step
         assert intmath.decimal_power(5, w // 4) == 5 ** (w // 4)
         assert intmath.decimal_power(10, w // 8) == 10 ** (w // 8)
-        cleared = cleared or not before <= set(cold_powers.keys)
-        bases |= {b for b, _ in cold_powers.keys}
-        assert cold_powers.keys == sorted(cold_powers.values)
+        cleared = cleared or not before <= set(cold_powers.values)
+        bases |= {b for b, _ in cold_powers.values}
         assert cold_powers.bits == _table_bits(cold_powers) <= cap
     assert cleared and (2, cap + 1) not in cold_powers.values
     assert bases == {2, 5, 10}
@@ -239,8 +241,6 @@ def test_power_table_is_shared_by_threads(cold_powers):
     assert len(results) == 4 * (len(ws) + len(es))
     assert all(got == str(1 << e) for (_, b, e), got in results.items() if b == 2)
     assert all(got == 5 ** e for (_, b, e), got in results.items() if b == 5)
-    assert len(cold_powers.keys) == len(set(cold_powers.keys))
-    assert cold_powers.keys == sorted(cold_powers.values)
     assert cold_powers.bits == _table_bits(cold_powers)
 
 
@@ -270,7 +270,7 @@ def test_output_bytes_do_not_depend_on_the_table(cold_powers, capsys, monkeypatc
     # cold, warm, and with the table emptied again and again mid-run
     assert cli.main(list(argv)) == 0
     cold = capsys.readouterr()
-    assert cold_powers.keys
+    assert cold_powers.values
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr() == cold
     cold_powers.clear()

@@ -74,6 +74,12 @@ CASES = [
     # partial_sum(3) builds 3**(2**24)
     pytest.param(["witness", "--budget-bits", "25", "--a1", "64", "--n-from", "3", "--n-to", "3"],
                  0, id="witness-tail-refused-before-convergent"),
+    # a_{n+1} near 2**24 puts terms 3**a with a > j/log2(3) in the sum;
+    # they floor to 0 and are counted, not built
+    pytest.param(["witness", "--budget-bits", "25", "--a1", "64", "--op", "sum"], 0,
+                 id="witness-terms-that-floor-to-0"),
+    pytest.param(["witness", "--budget-bits", "25", "--a1", "4096", "--n-to", "1"], 0,
+                 id="witness-a1-4096-first-index"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lacunary import intmath
+from lacunary import cli, intmath, series
 from lacunary.errors import (
     ExponentBudgetExceeded,
     InvalidConfigError,
@@ -17,6 +17,7 @@ from lacunary.interval import RationalInterval
 from lacunary.intmath import _POWERS, exact_decimal, floor_log10, gated_pow
 from lacunary.schedule import PowerSchedule
 from lacunary.series import (
+    BINARY,
     DECIMAL,
     Convergent,
     Enclosure,
@@ -120,6 +121,48 @@ def test_decimal_term_split_is_gated_like_the_division(monkeypatch):
     _POWERS.clear()
     assert min(routes.values()) > 0
     assert built and max(e * b.bit_length() for b, e in built) <= cap
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=st.one_of(st.integers(1, 10 ** 6).map(lambda o: 2 * o + 1),
+                   st.integers(1, 20).map(lambda z: 1 << z),
+                   st.tuples(st.integers(1, 10 ** 4), st.integers(1, 12))
+                   .map(lambda oz: (2 * oz[0] + 1) << oz[1])),
+       a=st.integers(1, 300), shift=st.integers(-4, 4))
+@example(g=3, a=3, shift=0)  # 2**4 < 27 < 2**5 = 2**j: the floor is 1
+@example(g=12, a=5, shift=0)
+def test_binary_terms_match_the_integer_floor(g, a, shift):
+    # 2**j a few bits either side of g**a, for odd g, powers of two and
+    # even composites: a term that floors to 0 is 0 without o**a
+    z = (g & -g).bit_length() - 1
+    j = max(z * a, (g ** a).bit_length() + shift)
+    assert BINARY.inverse_power(g, a, j) == (1 << j) // g ** a
+
+
+def test_binary_term_that_floors_to_0_is_still_gated(monkeypatch):
+    # over the cap, a term is refused as before, whatever its floor
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", 1 << 10)
+    for g, a, want in [(3, 1000, "3**1000 would need about 2000 bits"),
+                       (12, 300, "12**300 would need about 1200 bits")]:
+        with pytest.raises(ExponentBudgetExceeded) as got:
+            BINARY.inverse_power(g, a, 64)
+        assert str(got.value) == f"{want}, over the 1024-bit materialization cap"
+
+
+def test_witness_divides_for_no_term_that_floors_to_0(monkeypatch, capsys):
+    real = series.int_divmod
+    zeros = []
+
+    def spy(x, y):
+        q, r = real(x, y)
+        if q == 0:
+            zeros.append((x.bit_length(), y.bit_length()))
+        return q, r
+
+    monkeypatch.setattr(series, "int_divmod", spy)
+    assert cli.main(["witness", "--g1", "3", "--g2", "2", "--op", "product"]) == 0
+    capsys.readouterr()
+    assert zeros == []
 
 
 def test_convergent_validation():
