@@ -2,25 +2,28 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B [--json PATH]
 
-PARENT_DIR and CHANGE_DIR are repository roots.  For each seed from A to
-B, `perfbench/run.py --trace 0` runs once in each tree (from that tree's
-root, for the run length its BENCHMARK.json sets), the parent first at
-even pair numbers and the change first at odd ones.  For each end-to-end
-metric of the change's BENCHMARK.json it prints each side's median and
-quartiles, and in how many pairs the change was better (ties count for
-neither).  A metric is marked `gain` when the change won at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile range.
+PARENT_DIR and CHANGE_DIR are roots of git checkouts.  Before the first
+run, each tree's tracked and untracked, not ignored, files (as
+`mutants.py` copies them) are copied to a temporary directory, so that no
+ignored file (a stale `__pycache__`, `.hypothesis` or `.perfbench`) can
+move a reading.  For each seed from A to B, `perfbench/run.py --trace 0`
+runs once in each copy (from its root, for the run length the change's
+BENCHMARK.json sets), the parent first at even pair numbers and the
+change first at odd ones.  For each end-to-end metric of the change's
+BENCHMARK.json it prints each side's median and quartiles, and in how
+many pairs the change was better (ties count for neither).  A metric is
+marked `gain` when the change won at least nine tenths of the pairs and
+the medians differ by more than the parent's interquartile range.
 
 With `--json PATH` it also writes the whole comparison as one record:
 the workload, seeds and run length, the interpreter version, each
 tree's `git rev-parse HEAD` and whether it had uncommitted changes, each
 side's operation counts, and for each end-to-end metric each side's
 values, median and quartiles, the change/parent median ratio, the wins
-and the gain mark.  Both trees must then be git checkouts, so that the
-record names both commits: a tree that is not (a `git archive` copy, say)
-exits 2 before any run; `git worktree add --detach DIR REV` makes a
-parent tree that is.  Standard library only; it edits nothing else.
+and the gain mark; it names each original tree.  A tree that is not a
+git checkout (a `git archive` copy, say) exits 2 before any run; `git
+worktree add --detach DIR REV` makes a parent tree that is.  Standard
+library only; it edits nothing else.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from mutants import copy_files, working_files
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,25 +93,29 @@ def main() -> int:
     ap.add_argument("--json", type=Path, metavar="PATH", help="also write the comparison here")
     args = ap.parse_args()
 
-    trees = ({side: tree_state(getattr(args, side)) for side in ("parent", "change")}
-             if args.json else {})
+    trees = {side: tree_state(getattr(args, side)) for side in ("parent", "change")}
     for side, state in trees.items():
         if state["head"] is None:
-            print(f"{side} tree {getattr(args, side)} is not a git checkout, so --json cannot "
-                  "name its commit; make one with `git worktree add --detach DIR REV`",
-                  file=sys.stderr)
+            print(f"{side} tree {getattr(args, side)} is not a git checkout, so its working "
+                  "files cannot be told from ignored ones; make one with `git worktree add "
+                  "--detach DIR REV`", file=sys.stderr)
             return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     runs = {"parent": [], "change": []}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            got = run_once(getattr(args, side), args.workload, seed, seconds)
-            runs[side].append(got)
-            print(f"seed {seed} {side}: correct {got['correct']}, failed "
-                  f"{got['failed']}/{got['attempted']}, throughput "
-                  f"{got['metrics']['throughput_ops_s']['value']:.4g} ops/s", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        copies = {side: Path(tmp, side) for side in runs}
+        for side, copy in copies.items():
+            tree = getattr(args, side)
+            copy_files(tree, working_files(tree), copy)
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                got = run_once(copies[side], args.workload, seed, seconds)
+                runs[side].append(got)
+                print(f"seed {seed} {side}: correct {got['correct']}, failed "
+                      f"{got['failed']}/{got['attempted']}, throughput "
+                      f"{got['metrics']['throughput_ops_s']['value']:.4g} ops/s", flush=True)
 
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs, seeds {args.seeds.start}-{args.seeds.stop - 1}, "

@@ -375,10 +375,11 @@ def root_sci_string(n: int, k: int, v: int, sig: int) -> str:
     return f"{mantissa}e{e:+d}"
 
 
-# Burnikel and Ziegler, "Fast Recursive Division" (MPI-I-98-1-022, 1998),
-# as CPython 3.13's Lib/_pylong.py writes it, with its limit: up to this
-# many bits of quotient or divisor the builtin divmod is as fast (on
-# CPython 3.11.7 a 2n-by-n-bit division breaks even near n = 7,000).
+# Burnikel and Ziegler, "Fast Recursive Division" (MPI-I-98-1-022, 1998):
+# the 2n-by-n-bit block is CPython 3.13's Lib/_pylong.py's, and a wider
+# dividend is split in halves around it.  Up to this many bits of quotient
+# or divisor the builtin divmod is as fast (on CPython 3.11.7 a
+# 2n-by-n-bit division breaks even near n = 7,000).
 _DIV_LIMIT = 4000
 
 
@@ -396,20 +397,15 @@ def int_divmod(a: int, b: int) -> tuple[int, int]:
     if a < 0:
         q, r = int_divmod(~a, b)
         return ~q, b + ~r
-    return _divmod_pos(a, b)
-
-
-def _divmod_pos(a: int, b: int) -> tuple[int, int]:
-    """divmod for a >= 0 and b > 0: schoolbook division in base 2**bits(b),
-    each digit step a 2n-by-n-bit recursive division."""
     n = b.bit_length()
-    r = 0
-    q_digits = []
-    for a_digit in reversed(_int2digits(a, n)):
-        q_digit, r = _div2n1n((r << n) + a_digit, b, n)
-        q_digits.append(q_digit)
-    q_digits.reverse()
-    return _digits2int(q_digits, n), r
+    if a < b << n:
+        return _div2n1n(a, b, n)
+    # a = a_hi * 2**s + a_lo: the remainder r < b of a_hi puts the second
+    # quotient under 2**s
+    s = max(n, (a.bit_length() - n) // (2 * n) * n)
+    q_hi, r = int_divmod(a >> s, b)
+    q_lo, r = int_divmod(r << s | a & ((1 << s) - 1), b)
+    return q_hi << s | q_lo, r
 
 
 def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
@@ -442,35 +438,3 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
         q -= 1
         r += b
     return q, r
-
-
-def _int2digits(a: int, n: int) -> list:
-    """The base-2**n digits of a >= 0, least significant first, split by
-    halves so that the cost stays subquadratic; [] for a = 0."""
-    digits = [0] * ((a.bit_length() + n - 1) // n)
-
-    def inner(x, lo, hi):
-        if lo + 1 == hi:
-            digits[lo] = x
-            return
-        mid = (lo + hi) >> 1
-        shift = (mid - lo) * n
-        upper = x >> shift
-        inner(x ^ (upper << shift), lo, mid)
-        inner(upper, mid, hi)
-
-    if a:
-        inner(a, 0, len(digits))
-    return digits
-
-
-def _digits2int(digits: list, n: int) -> int:
-    """The inverse of _int2digits."""
-
-    def inner(lo, hi):
-        if lo + 1 == hi:
-            return digits[lo]
-        mid = (lo + hi) >> 1
-        return (inner(mid, hi) << (mid - lo) * n) + inner(lo, mid)
-
-    return inner(0, len(digits)) if digits else 0

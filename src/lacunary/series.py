@@ -365,8 +365,9 @@ def deepest_feasible(s: LacunarySeries) -> int:
     """Largest depth m with a_m inside the exponent budget and
     base**(2*a_m) under the size cap.
 
-    Stops at the schedule end or the first size refusal, by m = 25 since
-    a_m >= 2**m.  Returns 0 when even one term is out of reach.
+    Stops at the exponent budget or the first size refusal, by m = 25
+    since a_m >= 2**m; a non-integral a_m is raised as
+    NonIntegralExponent.  Returns 0 when even one term is out of reach.
     """
     for deepest in itertools.count():
         try:

@@ -418,6 +418,10 @@ def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> I
                 notice="quotient verification starts at n=2; only the convergent is recorded")
         c.s2.checked_exponent(n + 1)
         conv = composite_convergent(c, n)
+        # `_roth_check`'s first gates, in its order, before `gap_bound`
+        # builds the tail; past them `gap_bound` refuses nothing
+        check_power("g2", 64, c.g2.bit_length())
+        check_power(f"q_{n}", d_eff.numerator, conv.q.bit_length())
         bound = gap_bound(c, n)
         roth = _roth_check(c, conv, d_eff)
         _, hi, k = roth.gap

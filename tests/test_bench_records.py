@@ -1,6 +1,7 @@
 """Every committed `BENCH_*.json` (written by `scripts/bench_pairs.py
 --json`) keeps its shape, and its summary follows from its own values;
-`bench_pairs.py --json` refuses a tree whose commit it cannot name."""
+`bench_pairs.py` refuses a tree that is not a git checkout, and runs
+each tree from a copy of the files git does not ignore."""
 
 import json
 import statistics
@@ -57,3 +58,21 @@ def test_json_refuses_a_tree_that_is_not_a_git_checkout(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "git worktree add --detach DIR REV" in proc.stderr and not out.exists()
+
+
+def test_runs_copy_the_files_git_does_not_ignore(tmp_path, monkeypatch):
+    # bench_pairs.py copies each tree as mutants.py does
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from mutants import copy_files, working_files
+    tree = tmp_path / "tree"
+    (tree / "__pycache__").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    (tree / ".gitignore").write_text("__pycache__/\n")
+    (tree / "tracked.py").write_text("tracked = 1\n")
+    subprocess.run(["git", "-C", str(tree), "add", ".gitignore", "tracked.py"], check=True)
+    (tree / "untracked.py").write_text("untracked = 1\n")
+    (tree / "__pycache__" / "tracked.cpython-311.pyc").write_bytes(b"stale")
+    copy_files(tree, working_files(tree), tmp_path / "copy")
+    copied = sorted(str(p.relative_to(tmp_path / "copy")) for p in (tmp_path / "copy").rglob("*"))
+    assert copied == [".gitignore", "tracked.py", "untracked.py"]
+    assert (tmp_path / "copy" / "untracked.py").read_text() == "untracked = 1\n"

@@ -581,6 +581,7 @@ def _sparse_dyadic_divisor(j: int, exps: list, c: int) -> int:
     return sum(1 << j - a for a in exps) + c
 
 
+_B = (1 << _DIV_LIMIT + 2) + 3 ** 1_500  # n = _DIV_LIMIT + 3 bits, odd
 _DIVMOD_CASES = [
     # quotient and divisor at _DIV_LIMIT +- 1 bits
     *(((1 << qw + dw) - 1, (1 << dw - 1) + 1) for qw in (_DIV_LIMIT - 1, _DIV_LIMIT,
@@ -595,6 +596,10 @@ _DIVMOD_CASES = [
     # a < b, a = 0 and exact multiples
     (3 ** 9_000, 3 ** 9_001), (0, 3 ** 9_001), (3 ** 9_001 * 5 ** 9_000, 3 ** 9_001),
     (3 ** 9_001 << 50_000, 3 ** 9_001),
+    # a split dividend: a = b * 2**(k*n) + (-1, 0, 1) for an odd and an even
+    # n over the limit; at an even n, _div2n1n gets b * 2**n wrong
+    *(((b << k * b.bit_length()) + i, b) for b in (_B, _B << 1 | 1) for k in (1, 2, 3)
+      for i in (-1, 0, 1)),
     # sparse divisors shaped like base-2 enclosure ends
     (1 << 2 * 131_072, _sparse_dyadic_divisor(131_072, [2, 4, 16, 256, 65_536], 6)),
     (1 << 91_420, _sparse_dyadic_divisor(65_600, [2, 4, 16, 256, 65_536], 1)),

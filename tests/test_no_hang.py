@@ -80,6 +80,9 @@ CASES = [
                  id="witness-terms-that-floor-to-0"),
     pytest.param(["witness", "--budget-bits", "25", "--a1", "4096", "--n-to", "1"], 0,
                  id="witness-a1-4096-first-index"),
+    # q_1**2501 is refused before gap_bound builds the tail 3**(2**24)
+    pytest.param(["witness", "--a1", "4096", "--budget-bits", "24", "--n-to", "1", "--d", "5000",
+                  "--g1", "5", "--g2", "3"], 0, id="witness-q-power-refused-before-tail"),
 ]
 
 

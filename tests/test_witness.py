@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from lacunary.errors import (
     ExponentBudgetExceeded,
     InsufficientDepth,
+    InternalError,
     InvalidConfigError,
     NotFound,
 )
 from lacunary.interval import RationalInterval
 from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
+from lacunary.powercmp import Ordering
 from lacunary.schedule import PowerSchedule
-from lacunary import intmath, witness
+from lacunary import intmath, series, witness
 from lacunary.intmath import exact_decimal
 from lacunary.series import BINARY, DECIMAL, Convergent, Enclosure, LacunarySeries, format_fixed
 from lacunary.witness import (
@@ -392,6 +394,57 @@ def test_starting_precision_power_is_gated(monkeypatch):
     (rec,) = certify(c, 3, (1, 1)).records
     assert rec.error == ("ExponentBudgetExceeded: g2**64 would need about 6464 bits, "
                          "over the 4096-bit materialization cap")
+
+
+@st.composite
+def _refused_at_q_power(draw):
+    """(a1, d) for bases (5, 3): q_1 = 15**a1, and d_eff = d/2 + 1 just past
+    the largest exponent u whose q_1**u passes the size gate.  From a1 =
+    1024 on, the tail 3**(a1**2) is over 2**20 bits, or over the cap."""
+    a1 = draw(st.integers(1024, 4700))
+    edge = intmath.MATERIALIZE_BITS // (15 ** a1).bit_length()
+    return a1, 2 * draw(st.integers(edge + 1, edge + 400)) - 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_refused_at_q_power(), op=st.sampled_from([Op.SUM, Op.DIFFERENCE, Op.PRODUCT]))
+@example(case=(1024, 40000), op=Op.SUM)  # a tail 3**(2**20) would have 1,661,954 bits
+def test_a_refused_record_builds_no_wide_power(case, op):
+    a1, d = case
+    built = []
+
+    def spy(x, e, label=None):
+        got = intmath.gated_pow(x, e, label)
+        built.append(got.bit_length())
+        return got
+
+    sched = PowerSchedule(a1, Fraction(1), budget_bits=25)
+    c = CompositeNumber(op, LacunarySeries(5, sched), LacunarySeries(3, sched))
+    with mock.patch.object(series, "gated_pow", spy), mock.patch.object(witness, "gated_pow", spy):
+        (rec,) = certify(c, d, (1, 1)).records
+    assert rec.error.startswith("ExponentBudgetExceeded: ")
+    assert max(built, default=0) <= 1 << 20
+
+
+class _ThinSeries(LacunarySeries):
+    """A stub whose partial sums are all 1/g**a1, no more than g**-a1."""
+
+    def partial_sum(self, n):
+        return Convergent(n, 1, self.base ** self.schedule.exponent(1))
+
+
+def test_quotient_gap_bound_refuses_a_partial_sum_under_its_bound():
+    sched = PowerSchedule(2, Fraction(1))
+    c = CompositeNumber(Op.QUOTIENT, LacunarySeries(3, sched), _ThinSeries(2, sched))
+    with pytest.raises(InternalError, match="at n=2 is not above 1/4"):
+        gap_bound(c, 2)
+
+
+def test_find_n0_refuses_a_relapse(monkeypatch):
+    answers = iter([Ordering.GREATER, Ordering.LESS])
+    monkeypatch.setattr(witness, "compare", lambda x, y: next(answers))
+    with pytest.raises(InternalError, match="relapsed at n=2 after holding from n=1"):
+        find_n0(build_example(Op.SUM), 3, 2)
 
 
 @pytest.mark.parametrize("op", [Op.SUM, Op.QUOTIENT])
