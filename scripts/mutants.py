@@ -67,6 +67,10 @@ MUTANTS = [
            "int_divmod's one-block case"),
     Mutant("M19", "src/lacunary/intmath.py", "s = max(n, (a.bit_length() - n) // (2 * n) * n)",
            "s = (a.bit_length() - n) // (2 * n) * n", "int_divmod's split point"),
+    Mutant("M20", "src/lacunary/witness.py",
+           "roth = _roth_check(c, conv, d_eff)\n        bound = gap_bound(c, n)",
+           "bound = gap_bound(c, n)\n        roth = _roth_check(c, conv, d_eff)",
+           "_index_record's order: the strict test before the gap bound"),
 ]
 
 EXPECTED_SURVIVORS = {

@@ -33,7 +33,8 @@ SEEDS = (1, 2)
 SECONDS = 20
 
 # Refusals and stalls: witness budget refusals on every op, non-integral
-# schedules, the quotient at n = 1, convergents refusals, and digits from
+# schedules, the quotient at n = 1, records refused inside the strict test
+# (gap.hi**v over the cap), convergents refusals, and digits from
 # an enclosure that stalls at the schedule's end, decided or refused.
 # Each finishes in well under 1 s.
 EDGE_ARGVS = [
@@ -43,6 +44,8 @@ EDGE_ARGVS = [
     ["witness", "--beta", "1/2", "--a1", "16"],
     ["witness", "--a1", "3", "--beta", "1/2", "--op", "quotient", "--n-to", "3"],
     ["witness", "--op", "quotient", "--n-to", "1"],
+    *(["witness", "--n-to", "1", "--d", "2000001/1000000", "--op", op]
+      for op in ("sum", "product")),
     ["convergents", "--budget-bits", "12", "--a1", "8", "--n-to", "5"],
     ["convergents", "--beta", "1/2", "--a1", "16", "--n-to", "5"],
     ["convergents", "--a1", "3", "--beta", "1/2", "--n-to", "3"],

@@ -21,8 +21,6 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .certjson import certificate_document, dumps
@@ -173,8 +171,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if path:
         import json  # only a --config call reads JSON
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"),
-                             parse_int=lambda text: int(_number_text("config", text)))
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f, parse_int=lambda text: int(_number_text("config", text)))
         # ValueError: a NUL byte in the path, bytes that are not UTF-8 or bad
         # JSON; RecursionError: JSON nested too deep for the parser
         except (OSError, ValueError, RecursionError) as exc:
@@ -288,7 +286,7 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_flags(parser: argparse.ArgumentParser, command: Optional[str]) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str | None) -> None:
     """The flags of the configuration keys whose flag is on `command`."""
     for name, key in _KEYS.items():
         if key.command == command:
@@ -323,7 +321,7 @@ def _flags(command: str) -> dict:
     return {_flag(name): name for name in names}
 
 
-def _plain_args(argv: list) -> Optional[argparse.Namespace]:
+def _plain_args(argv: list) -> argparse.Namespace | None:
     """The Namespace `_build_parser().parse_args(argv)` returns, read without
     argparse when argv is a command and then `--flag value` pairs: each flag
     spelled in full, no value starting with "-", a repeated flag keeping its
@@ -341,7 +339,7 @@ def _plain_args(argv: list) -> Optional[argparse.Namespace]:
     return argparse.Namespace(command=argv[0], **args)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if not out:
         try:
             sys.stdout.write(text)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class RationalInterval(namedtuple("RationalInterval", "lo hi")):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import List
 
 from .errors import InvalidConfigError, NotFound, TieEncountered
 from .intmath import exact_decimal
@@ -102,7 +101,7 @@ def find_n1(c: CompositeNumber, t: AlgebraicTarget, n_max: int) -> N1Result:
     both = c.g1 * c.g2
     threshold = 2 * t.height * t.degree ** 2
     tsq = threshold * threshold
-    evidence: List[BracketEvidence] = []
+    evidence: list[BracketEvidence] = []
     for n in range(1, n_max + 1):
         left = power_vs_threshold(PurePower(both, c.schedule.exponent(n)), tsq)
         if left is Ordering.EQUAL:

@@ -16,7 +16,6 @@ import math
 import threading
 from collections import namedtuple
 from fractions import Fraction
-from typing import List
 
 from .errors import ExponentBudgetExceeded, InvalidConfigError, NonIntegralExponent
 from .intmath import MATERIALIZE_BITS, int_label, introot, value_label
@@ -57,7 +56,7 @@ class PowerSchedule:
         if a1 > self._limit:
             raise ExponentBudgetExceeded(
                 f"a_1 = {int_label(a1)} already exceeds the 2**{budget_bits} exponent budget")
-        self._cache: List[int] = [a1]
+        self._cache: list[int] = [a1]
         self._base_power = (a1, 1)  # (r, e) with r**e = the last cached a_m
         self._lock = threading.Lock()
 
@@ -131,7 +130,7 @@ class GrowthCheck(namedtuple("GrowthCheck", "n lower_ok upper_ok")):
         return self.lower_ok and self.upper_ok
 
 
-def validate_growth(s: PowerSchedule, w: GrowthWindow, n_max: int) -> List[GrowthCheck]:
+def validate_growth(s: PowerSchedule, w: GrowthWindow, n_max: int) -> list[GrowthCheck]:
     """Exact per-index check of the growth window for n = 1..n_max.
 
     a_{n+1} = a_n**(1+beta) exactly and a_n >= 2, so a_n**alpha <= a_{n+1}

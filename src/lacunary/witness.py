@@ -27,7 +27,6 @@ import enum
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, Tuple
 
 from .errors import (
     ExponentBudgetExceeded,
@@ -217,7 +216,7 @@ def find_n0(c: CompositeNumber, d, n_max: int) -> ThresholdScan:
         raise InvalidConfigError("n_max", f"must be a positive integer, got {n_max!r}")
     du, dv = d.numerator, d.denominator
     both = c.g1 * c.g2
-    checks: List[ThresholdCheck] = []
+    checks: list[ThresholdCheck] = []
     n0 = None
     for n in range(1, n_max + 1):
         a_n = c.schedule.exponent(n)
@@ -357,7 +356,7 @@ class WitnessCertificate(namedtuple(
     __slots__ = ()
 
 
-def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertificate:
+def certify(c: CompositeNumber, d, n_range: tuple[int, int]) -> WitnessCertificate:
     """Assemble the full certificate over n in [n_range[0], n_range[1]].
 
     The strict approximation test runs at d_eff = (2+d)/2, strictly between
@@ -377,7 +376,7 @@ def certify(c: CompositeNumber, d, n_range: Tuple[int, int]) -> WitnessCertifica
 
     n0 = None
     n0_error = None
-    checks: Tuple[ThresholdCheck, ...] = ()
+    checks: tuple[ThresholdCheck, ...] = ()
     if n_from <= n_to:
         try:
             scan = find_n0(c, d, n_to)
@@ -418,12 +417,9 @@ def _index_record(c: CompositeNumber, n: int, d: Fraction, d_eff: Fraction) -> I
                 notice="quotient verification starts at n=2; only the convergent is recorded")
         c.s2.checked_exponent(n + 1)
         conv = composite_convergent(c, n)
-        # `_roth_check`'s first gates, in its order, before `gap_bound`
-        # builds the tail; past them `gap_bound` refuses nothing
-        check_power("g2", 64, c.g2.bit_length())
-        check_power(f"q_{n}", d_eff.numerator, conv.q.bit_length())
-        bound = gap_bound(c, n)
+        # the strict test first: a record it refuses builds no gap bound
         roth = _roth_check(c, conv, d_eff)
+        bound = gap_bound(c, n)
         _, hi, k = roth.gap
         try:
             expo = _exponent_interval(roth.gap, conv.q, 64 * roth.depth)

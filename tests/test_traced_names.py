@@ -42,6 +42,8 @@ def test_every_traced_name_resolves():
 
 
 # Prints the module names a fresh `python -m lacunary --version` has loaded.
+# The child runs with -S: a site-packages .pth hook may import modules
+# (typing and pathlib among them) before lacunary runs.
 _LOADED = """
 import sys
 from lacunary.cli import main
@@ -54,10 +56,11 @@ print("\\n".join(sys.modules))
 
 
 def test_cli_import_loads_every_traced_module_and_no_dataclasses():
-    proc = subprocess.run([sys.executable, "-c", _LOADED], capture_output=True, text=True,
-                          env=CLI_ENV, timeout=30)
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADED], capture_output=True,
+                          text=True, env=CLI_ENV, timeout=30)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines())
-    # dataclasses brings inspect and ast; json only the commands that read or write it need
-    assert not {"dataclasses", "inspect", "ast", "json"} & loaded
+    # dataclasses brings inspect and ast; json only the commands that read or write it
+    # need; annotations are text, so no module needs typing
+    assert not {"dataclasses", "inspect", "ast", "json", "typing", "pathlib"} & loaded
     assert not {modname for modname, _ in _load_tracer().LAYERS.values()} - loaded

@@ -426,6 +426,15 @@ def test_a_refused_record_builds_no_wide_power(case, op):
     assert max(built, default=0) <= 1 << 20
 
 
+
+@pytest.mark.parametrize("op", [Op.SUM, Op.PRODUCT])
+def test_a_record_refused_by_its_strict_test_builds_no_gap_bound(op):
+    # d_eff = 4000001/2000000: q_1**u passes the size gate, gap.hi**2000000 does not
+    with mock.patch.object(witness, "gap_bound", wraps=witness.gap_bound) as bound:
+        (rec,) = certify(build_example(op), Fraction(2000001, 1000000), (1, 1)).records
+    assert rec.error.startswith("ExponentBudgetExceeded: gap.hi**2000000")
+    assert not bound.called
+
 class _ThinSeries(LacunarySeries):
     """A stub whose partial sums are all 1/g**a1, no more than g**-a1."""
 
