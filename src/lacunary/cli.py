@@ -388,6 +388,10 @@ def main(argv=None) -> int:
     except (ExponentBudgetExceeded, PrecisionUnattainable, InsufficientDepth) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("budget error: out of memory: this input needs more than the process's "
+              "memory limit allows", file=sys.stderr)
+        return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -16,26 +16,6 @@ from fractions import Fraction
 
 from .errors import ExponentBudgetExceeded, InternalError
 
-__all__ = [
-    "MATERIALIZE_BITS",
-    "check_power",
-    "decimal_places",
-    "decimal_power",
-    "decimal_str",
-    "exact_decimal",
-    "gated_pow",
-    "int_divmod",
-    "int_label",
-    "value_label",
-    "introot",
-    "primitive_power",
-    "floor_log10",
-    "lowest_dyadic",
-    "pow_bracket",
-    "power_bits",
-    "root_sci_string",
-]
-
 # Cap on any big integer we agree to build in full (~4 MiB).  Exponent
 # schedules themselves may go far beyond this; every power whose size
 # comes from the input passes check_power before it is built.

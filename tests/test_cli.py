@@ -549,6 +549,17 @@ def test_a_trapped_decimal_signal_exits_4(monkeypatch, capsys):
                "only exact results may print\n")
 
 
+def test_running_out_of_memory_exits_3(monkeypatch, capsys):
+    # a MemoryError is a resource limit: one `budget error:` line, exit 3
+    def out_of_memory(doc):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "dumps", out_of_memory)
+    code, out, err = run_cli(capsys, "witness")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget error: ") and err.count("\n") == 1
+
+
 def run_main(capsys, argv):
     """`main(argv)` with an argparse rejection read as its exit code."""
     try:

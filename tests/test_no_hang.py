@@ -18,14 +18,13 @@ TIMEOUT_S = 10
 ADDRESS_SPACE_BYTES = 2 << 30
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+def run_capped(argv, address_space_bytes=ADDRESS_SPACE_BYTES):
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space_bytes, address_space_bytes))
 
-
-def run_capped(argv):
     return subprocess.run([sys.executable, "-m", "lacunary", *argv],
                           capture_output=True, text=True, env=CLI_ENV,
-                          timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
+                          timeout=TIMEOUT_S, preexec_fn=cap_address_space)
 
 
 def _random_odd(bits, seed):
@@ -91,6 +90,15 @@ def test_finishes_within_bound(argv, code):
     proc = run_capped(argv)
     assert proc.returncode == code, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
+
+
+def test_running_out_of_memory_is_a_budget_error():
+    # under 60 MB of address space the 15.5 MB certificate of
+    # `witness-terms-that-floor-to-0` does not fit (it exits 0 at 100 MB):
+    # one `budget error:` line and exit 3, not a MemoryError traceback
+    proc = run_capped(["witness", "--budget-bits", "25", "--a1", "64", "--op", "sum"], 60 << 20)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stderr.startswith("budget error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["json-number", "json-string"])

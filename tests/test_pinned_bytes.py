@@ -7,7 +7,7 @@ any pin must update it there and say why the output moved.
 
 import pytest
 
-from pins import BRACKET_PINS, HELP_PINS, PINS, run
+from pins import BRACKET_PINS, HELP_PINS, PINS, STALL_PINS, run
 
 
 @pytest.mark.parametrize("argv, stdout_sha, stderr_sha, code", PINS,
@@ -27,3 +27,8 @@ def test_help_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
                               for p in BRACKET_PINS])
 def test_bracket_fallback_bytes_are_pinned(argv, stdout_sha, stderr_sha, code):
     assert run(argv) == (stdout_sha, stderr_sha, code)
+
+
+def test_each_command_line_is_pinned_once():
+    argvs = [p[0] for p in [*PINS, *HELP_PINS, *BRACKET_PINS, *STALL_PINS]]
+    assert len(set(argvs)) == len(argvs)
