@@ -71,6 +71,10 @@ MUTANTS = [
            "roth = _roth_check(c, conv, d_eff)\n        bound = gap_bound(c, n)",
            "bound = gap_bound(c, n)\n        roth = _roth_check(c, conv, d_eff)",
            "_index_record's order: the strict test before the gap bound"),
+    Mutant("M21", "src/lacunary/witness.py",
+           'check_power(f"gap.hi**{int_label(v)} * q_{n}**{int_label(u)}", 1,\n'
+           "                    v * gap.hi.bit_length() + u * conv.q.bit_length())",
+           "pass", "_roth_check's gate on gap.hi**v * q**u"),
 ]
 
 EXPECTED_SURVIVORS = {

@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-Rat = int | Fraction
-
 
 class RationalInterval(namedtuple("RationalInterval", "lo hi")):
     """[lo, hi] with Fraction ends.  Its operators are interval arithmetic:
@@ -20,14 +18,14 @@ class RationalInterval(namedtuple("RationalInterval", "lo hi")):
 
     __slots__ = ()
 
-    def __new__(cls, lo: Rat, hi: Rat):
+    def __new__(cls, lo: int | Fraction, hi: int | Fraction):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
 
     @classmethod
-    def point(cls, x: Rat) -> "RationalInterval":
+    def point(cls, x: int | Fraction) -> "RationalInterval":
         x = Fraction(x)
         return cls(x, x)
 
@@ -40,15 +38,8 @@ class RationalInterval(namedtuple("RationalInterval", "lo hi")):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, x: Rat) -> bool:
+    def __contains__(self, x: int | Fraction) -> bool:
         return self.lo <= Fraction(x) <= self.hi
-
-    def within(self, other: "RationalInterval") -> bool:
-        """True if self is a subset of other."""
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def strictly_within(self, other: "RationalInterval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
 
     def __neg__(self) -> "RationalInterval":
         return RationalInterval(-self.hi, -self.lo)

@@ -42,11 +42,13 @@ _LEAF_BITS = 1 << 12
 def check_power(base, e: int, base_bits: int) -> None:
     """Refuse to build base**e when e * base_bits is over the cap.
 
-    `base` (a number or a label) is only formatted into the refusal.
+    `base` (a number or a label) is only formatted into the refusal; at
+    e = 1 it names the whole number, as a product of powers is named.
     """
     if e * base_bits > MATERIALIZE_BITS:
+        power = base if e == 1 else f"{base}**{int_label(e)}"
         raise ExponentBudgetExceeded(
-            f"{base}**{int_label(e)} would need about {int_label(e * base_bits)} bits, "
+            f"{power} would need about {int_label(e * base_bits)} bits, "
             f"over the {MATERIALIZE_BITS}-bit materialization cap")
 
 

@@ -276,11 +276,13 @@ def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCh
     qs = None
     for gap in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
         k = gap.j
-        # hi**v passes its gate before q**u is built; lo <= hi, so lo**v passes too
-        stat = gated_pow(gap.hi, v, "gap.hi")
+        # hi**v, then hi**v * q**u, pass their gates before either is built (lo <= hi)
+        check_power("gap.hi", v, gap.hi.bit_length())
+        check_power(f"gap.hi**{int_label(v)} * q_{n}**{int_label(u)}", 1,
+                    v * gap.hi.bit_length() + u * conv.q.bit_length())
         if qs is None:
-            qs = gated_pow(conv.q, u, f"q_{n}")
-        stat *= qs
+            qs = conv.q ** u
+        stat = gap.hi ** v * qs
         passed = stat.bit_length() <= k * v
         if not passed:
             stat = gated_pow(gap.lo, v, "gap.lo") * qs
@@ -446,8 +448,13 @@ def _quotient_display_forms(c: CompositeNumber, n: int, gap_hi: int, k: int,
     h2 = c.s2.on_grid(GUARD_BITS).hi  # theta2 < h2 * 2**-GUARD_BITS
     num = gated_pow(m, dv, "gap.hi")
     check_power("gap.hi", dv, j + 1)  # (2**j)**dv, applied as shifts
-    q_form = num * gated_pow(ps1.q * ps2.q, du, "(q1*q2)") < 1 << (j + 2) * dv
-    p_form = (num * gated_pow(ps1.q * ps2.p, du, "(q1*p2)") << GUARD_BITS * dv
+    qq, qp = ps1.q * ps2.q, ps1.q * ps2.p
+    for x, label in ((qq, "(q1*q2)"), (qp, "(q1*p2)")):  # x**du, then num * x**du
+        check_power(label, du, x.bit_length())
+        check_power(f"gap.hi**{int_label(dv)} * {label}**{int_label(du)}", 1,
+                    num.bit_length() + du * x.bit_length())
+    q_form = num * qq ** du < 1 << (j + 2) * dv
+    p_form = (num * qp ** du << GUARD_BITS * dv
               < gated_pow(4 * ((1 << GUARD_BITS) + h2), dv, "(4*(1+theta2))") << j * dv)
     return QuotientForms(q_denominator_form=q_form, p_denominator_form=p_form)
 

@@ -29,14 +29,9 @@ def test_constructor_validation():
     assert p.width == 0
 
 
-def test_membership_and_nesting():
-    outer = make(Fraction(0), Fraction(1))
+def test_membership():
     inner = make(Fraction(1, 4), Fraction(1, 2))
     assert Fraction(1, 3) in inner
-    assert inner.within(outer)
-    assert inner.strictly_within(outer)
-    assert outer.within(outer)
-    assert not outer.strictly_within(outer)
 
 
 @given(rats, rats, rats, rats, unit, unit)

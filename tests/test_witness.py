@@ -126,7 +126,7 @@ def test_dyadic_combination_rounds_outward(op):
             y = RationalInterval(Fraction(l2, 2**j), Fraction(h2, 2**j))
             exact = {Op.SUM: operator.add, Op.DIFFERENCE: operator.sub,
                      Op.PRODUCT: operator.mul, Op.QUOTIENT: operator.truediv}[op](x, y)
-            assert exact.within(RationalInterval(Fraction(lo, 2**j), Fraction(hi, 2**j)))
+            assert Fraction(lo, 2**j) <= exact.lo and exact.hi <= Fraction(hi, 2**j)
 
 
 def test_true_gap_enclosure_example_window():
@@ -394,6 +394,35 @@ def test_starting_precision_power_is_gated(monkeypatch):
     (rec,) = certify(c, 3, (1, 1)).records
     assert rec.error == ("ExponentBudgetExceeded: g2**64 would need about 6464 bits, "
                          "over the 4096-bit materialization cap")
+
+
+def test_the_strict_test_gates_the_product_of_its_two_powers(monkeypatch):
+    # gap.hi**50 * q_2**151 is refused by its own width, v*bits(hi) + u*bits(q),
+    # though each power passes its gate; a product exactly at the cap is built
+    c, d_eff = build_example(Op.SUM), Fraction(151, 50)
+    roth = verify_roth_instance(c, 2, d_eff)
+    width = 50 * roth.gap[1].bit_length() + 151 * composite_convergent(c, 2).q.bit_length()
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", width)
+    assert verify_roth_instance(c, 2, d_eff) == roth
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", width - 1)
+    with pytest.raises(ExponentBudgetExceeded,
+                       match=fr"^gap\.hi\*\*50 \* q_2\*\*151 would need about {width} bits"):
+        verify_roth_instance(c, 2, d_eff)
+
+
+def test_the_quotient_display_forms_gate_their_products(monkeypatch):
+    # m**dv * (q1*q2)**du, with gap.hi = m/2**j in lowest terms, is refused by
+    # its own width at d = 20, n = 2, where the strict test's product is narrower
+    c, d = build_example(Op.QUOTIENT), Fraction(20)
+    (rec,) = certify(c, d, (2, 2)).records
+    m, _ = intmath.lowest_dyadic(rec.roth.gap[1], rec.roth.gap[2])
+    width = 20 * (c.s1.partial_sum(2).q * c.s2.partial_sum(2).q).bit_length() + m.bit_length()
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", width)
+    assert certify(c, d, (2, 2)).records == (rec,)
+    monkeypatch.setattr(intmath, "MATERIALIZE_BITS", width - 1)
+    (refused,) = certify(c, d, (2, 2)).records
+    assert refused.error == (f"ExponentBudgetExceeded: gap.hi**1 * (q1*q2)**20 would need "
+                             f"about {width} bits, over the {width - 1}-bit materialization cap")
 
 
 @st.composite
