@@ -37,7 +37,8 @@ Mutant = namedtuple("Mutant", "name file old new site")
 MUTANTS = [
     Mutant("M1", "src/lacunary/witness.py", "passed = stat.bit_length() <= k * v",
            "passed = stat.bit_length() < k * v", "_roth_check's pass test"),
-    Mutant("M2", "src/lacunary/witness.py", "tie=stat == 1 << k * v", "tie=False",
+    Mutant("M2", "src/lacunary/witness.py",
+           "tie=stat.bit_length() == k * v + 1 and stat & (stat - 1) == 0", "tie=False",
            "_roth_check's tie"),
     Mutant("M3", "src/lacunary/witness.py", "lo, hi = got.lo - f - (r > 0), got.hi - f",
            "lo, hi = got.lo - f, got.hi - f", "_gap_dyadic's lower end"),
@@ -61,8 +62,8 @@ MUTANTS = [
            "gap_bound's check theta2 > g2**-a1"),
     Mutant("M16", "src/lacunary/witness.py", "elif not passed and n0 is not None:",
            "elif False:", "find_n0's relapse check"),
-    Mutant("M17", "src/lacunary/series.py", "power_bits(o, a) > m", "power_bits(o, a) >= m",
-           "BinaryGrid.inverse_power's zero test"),
+    Mutant("M17", "src/lacunary/series.py", "PurePower(o, a).bits() > m",
+           "PurePower(o, a).bits() >= m", "BinaryGrid.inverse_power's zero test"),
     Mutant("M18", "src/lacunary/intmath.py", "if a < b << n:", "if a <= b << n:",
            "int_divmod's one-block case"),
     Mutant("M19", "src/lacunary/intmath.py", "s = max(n, (a.bit_length() - n) // (2 * n) * n)",
@@ -75,6 +76,8 @@ MUTANTS = [
            'check_power(f"gap.hi**{int_label(v)} * q_{n}**{int_label(u)}", 1,\n'
            "                    v * gap.hi.bit_length() + u * conv.q.bit_length())",
            "pass", "_roth_check's gate on gap.hi**v * q**u"),
+    Mutant("M22", "src/lacunary/intmath.py", "x = above << s", "x = below << s",
+           "introot's bracket start: the greatest m not certainly above the root"),
 ]
 
 EXPECTED_SURVIVORS = {

@@ -209,6 +209,15 @@ def decimal_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
+# From 2**ceil(bits/k), up to twice the root, Newton shrinks x by about a
+# factor 1 - 1/k a step, some k*ln(2) steps.  Above this k, introot starts
+# instead within a factor 1 + 2**-63 of the root, bisected with 64
+# `pow_bracket`s.  On n = 2**(30k) + 1 the two starts cost the same near
+# k = 80 (CPython 3.11.7).  Both stay: no benchmark workload reaches this
+# k, and the no-hang cases at k = 11,000 and 20,000 need the bracket.
+_BRACKET_START_K = 80
+
+
 def introot(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0; returns (r, exact) with r**k <= n < (r+1)**k."""
     if n < 0 or k < 1:
@@ -217,9 +226,24 @@ def introot(n: int, k: int) -> tuple[int, bool]:
         return n, True
     if k >= n.bit_length():  # 2**k > n: the root is 1, and 1**k != n
         return 1, False
-    # Integer Newton from x = 2**ceil(bits/k) > r = floor(n**(1/k)): every step
-    # gives y >= r (AM-GM, then floor), and y < x while x > r, so it stops at r.
-    x = 1 << -(-n.bit_length() // k)
+    # Integer Newton from any x >= r = floor(n**(1/k)) stops at r: every step
+    # gives y >= r (AM-GM, then floor), and y < x while x > r.
+    w = -(-n.bit_length() // k)  # 2**w > r
+    if k <= _BRACKET_START_K:
+        x = 1 << w
+    else:
+        # x = m * 2**s for the least m <= 2**64 whose 128-bit bracket puts
+        # x**k certainly above n (lo * 2**(t + s*k) > n), found by bisection
+        s = max(0, w - 64)
+        below, above = 0, 1 << w - s
+        while above - below > 1:
+            m = (below + above) >> 1
+            lo, _, t = pow_bracket(m, k, 128)
+            if lo > n >> t + s * k:
+                above = m
+            else:
+                below = m
+        x = above << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -317,17 +341,6 @@ def pow_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:
         cut = max(0, hi.bit_length() - w)
         lo, hi, t = lo >> cut, -(-hi >> cut), t + cut
     return lo, hi, t
-
-
-def power_bits(b: int, e: int) -> int:
-    """bits(b**e) for b >= 1 and e >= 0, read off a 128-bit `pow_bracket`
-    when both its ends have one bit length.  b**e itself is built only when
-    the bracket straddles a power of two, so a caller that may reach that
-    route runs `check_power` first."""
-    lo, hi, t = pow_bracket(b, e, 128)
-    if lo.bit_length() == hi.bit_length():
-        return lo.bit_length() + t
-    return (b ** e).bit_length()
 
 
 def root_sci_string(n: int, k: int, v: int, sig: int) -> str:

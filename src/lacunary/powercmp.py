@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 
 from .errors import InvalidConfigError
-from .intmath import introot
+from .intmath import introot, pow_bracket
 from .logenc import ln_int_interval
 
 _START_PREC = 64
@@ -50,6 +50,16 @@ class PurePower(namedtuple("PurePower", "base exp")):
 
     def materialize(self) -> int:
         return self.base ** self.exp
+
+    def bits(self) -> int:
+        """bits(base**exp), read off a 128-bit `pow_bracket` when both its
+        ends have one bit length.  base**exp itself is built only when the
+        bracket straddles a power of two, so a caller that may reach that
+        route runs `check_power` first."""
+        lo, hi, t = pow_bracket(self.base, self.exp, 128)
+        if lo.bit_length() == hi.bit_length():
+            return lo.bit_length() + t
+        return self.materialize().bit_length()
 
 
 class CompareDiagnostics(namedtuple("CompareDiagnostics", "ordering method precisions",

@@ -57,7 +57,7 @@ class PowerSchedule:
             raise ExponentBudgetExceeded(
                 f"a_1 = {int_label(a1)} already exceeds the 2**{budget_bits} exponent budget")
         self._cache: list[int] = [a1]
-        self._base_power = (a1, 1)  # (r, e) with r**e = the last cached a_m
+        self._base_power = PurePower(a1, 1)  # r**e = the last cached a_m
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -87,15 +87,15 @@ class PowerSchedule:
                     raise NonIntegralExponent(
                         f"a_{m + 1} = a_{m}**({value_label(power)}) is not an integer: "
                         f"a_{m} = {int_label(last)} is not a perfect {v}-th power")
-                # c = a_m**(1/v) = root**(e/g) and a_{m+1} = c**(u+v); with
+                # a_{m+1} = c**(u+v) for c = a_m**(1/v) = root**(e/g); with
                 # v = 1, c is a_m itself and is not built again
-                c = last if v == 1 else root ** (e // g)
-                if power_vs_threshold(PurePower(c, u + v), self._limit) is Ordering.GREATER:
+                step = PurePower(last if v == 1 else root ** (e // g), u + v)
+                if power_vs_threshold(step, self._limit) is Ordering.GREATER:
                     raise ExponentBudgetExceeded(
                         f"a_{m + 1} = {int_label(last)}**({value_label(power)}) exceeds the "
                         f"2**{self.budget_bits} exponent budget")
-                self._cache.append(c ** (u + v))
-                self._base_power = (root, e // g * (u + v))
+                self._cache.append(step.materialize())
+                self._base_power = PurePower(root, e // g * (u + v))
         return self._cache[n - 1]
 
     def known(self) -> tuple:

@@ -36,8 +36,9 @@ from .errors import (
     PrecisionUnattainable,
 )
 from .intmath import (MATERIALIZE_BITS, check_power, decimal_places, decimal_power, exact_decimal,
-                      gated_pow, int_divmod, power_bits)
+                      gated_pow, int_divmod)
 from .interval import RationalInterval
+from .powercmp import PurePower
 from .schedule import PowerSchedule
 
 # Working precision beyond the size of the quantity a decision needs.
@@ -74,7 +75,7 @@ class BinaryGrid:
         z = (g & -g).bit_length() - 1
         check_power(g, a, g.bit_length())
         o, m = g >> z, j - z * a
-        if a * o.bit_length() > m and o > 1 and power_bits(o, a) > m:
+        if a * o.bit_length() > m and o > 1 and PurePower(o, a).bits() > m:
             return 0
         return int_divmod(1 << m, o ** a)[0]
 

@@ -38,7 +38,7 @@ from .errors import (
     PrecisionUnattainable,
 )
 from .intmath import (check_power, exact_decimal, gated_pow, int_divmod, int_label,
-                      lowest_dyadic, power_bits, root_sci_string, value_label)
+                      lowest_dyadic, root_sci_string, value_label)
 from .interval import RationalInterval
 from .logenc import ln_fraction_interval, ln_int_interval
 from .powercmp import Ordering, PurePower, compare
@@ -271,7 +271,7 @@ def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCh
     n = conv.n
     u, v = d_eff.numerator, d_eff.denominator
     check_power("g2", 64, c.g2.bit_length())
-    k = -(-exponent_after(c.schedule, n) * power_bits(c.g2, 64) // 64) + GUARD_BITS
+    k = -(-exponent_after(c.schedule, n) * PurePower(c.g2, 64).bits() // 64) + GUARD_BITS
     check_power(f"q_{n}", u, conv.q.bit_length())  # the first refusal, as q**u
     qs = None
     for gap in deepen(lambda j: _gap_dyadic(c, conv, j), k, c.schedule):
@@ -288,7 +288,8 @@ def _roth_check(c: CompositeNumber, conv: Convergent, d_eff: Fraction) -> RothCh
             stat = gated_pow(gap.lo, v, "gap.lo") * qs
         if passed or stat.bit_length() > k * v:
             return RothCheck(
-                n=n, d_eff=d_eff, passed=passed, tie=stat == 1 << k * v,
+                n=n, d_eff=d_eff, passed=passed,
+                tie=stat.bit_length() == k * v + 1 and stat & (stat - 1) == 0,
                 margin=root_sci_string(stat, k * v, v, _MARGIN_DIGITS),
                 depth=gap.terms, gap=(gap.lo, gap.hi, k))
     raise InsufficientDepth(

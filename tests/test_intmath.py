@@ -30,15 +30,33 @@ from lacunary.intmath import (
 )
 
 
-@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=12))
-def test_introot_floor_property(n, k):
+# Degrees past introot's bracket start (_BRACKET_START_K) and roots past 64
+# bits, where Newton would stop short from a start below the root
+_DEGREES = st.integers(min_value=2, max_value=300)
+_ROOTS = st.integers(min_value=2, max_value=2**100)
+_WIDE_ROOT, _HIGH_DEGREE = 2**80 + 12345, 200
+
+
+@given(st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=12)),
+    st.tuples(st.integers(min_value=0, max_value=2**4000),
+              st.integers(min_value=1, max_value=10**5)),
+    st.builds(lambda r, k, d: (r**k + d, k), _ROOTS, _DEGREES, st.sampled_from((-1, 0, 1)))))
+@example((_WIDE_ROOT**_HIGH_DEGREE - 1, _HIGH_DEGREE))
+@example((_WIDE_ROOT**_HIGH_DEGREE + 1, _HIGH_DEGREE))
+def test_introot_floor_property(nk):
+    n, k = nk
     r, exact = introot(n, k)
     assert r**k <= n < (r + 1) ** k
     assert exact == (r**k == n)
 
 
-@given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=2, max_value=20))
-def test_introot_recovers_constructed_powers(b, k):
+@given(st.one_of(st.tuples(st.integers(min_value=2, max_value=10**9),
+                           st.integers(min_value=2, max_value=20)),
+                 st.tuples(_ROOTS, _DEGREES)))
+@example((_WIDE_ROOT, _HIGH_DEGREE))
+def test_introot_recovers_constructed_powers(bk):
+    b, k = bk
     r, exact = introot(b**k, k)
     assert exact and r == b
 
@@ -507,43 +525,6 @@ def test_pow_bracket_holds_and_is_narrow(b, m, w):
     assert lo << t <= b ** m <= hi << t
     assert hi <= 1 << w or t == 0  # rounding hi up can carry into bit w
     assert (hi - lo) * 2 ** w <= 9 * m * lo
-
-
-def _root_64(bits: int) -> int:
-    """floor(2**(bits/64)): its 64th power is just under 2**bits."""
-    r = 1 << bits
-    for _ in range(6):
-        r = math.isqrt(r)
-    return r
-
-
-# b**64 just under a power of two, where its 128-bit bracket straddles it
-# and b**64 itself is built
-_STRADDLING = [_root_64(64001), _root_64(8193), (1 << 5000) - 1, (1 << 200) - 1]
-
-
-@pytest.mark.parametrize("b", _STRADDLING)
-def test_power_bits_builds_the_power_when_the_bracket_straddles(b):
-    lo, hi, _ = intmath.pow_bracket(b, 64, 128)
-    assert lo.bit_length() != hi.bit_length()
-    assert intmath.power_bits(b, 64) == (b ** 64).bit_length()
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=4096).flatmap(
-           lambda bits: st.integers(min_value=1, max_value=2**bits - 1)),
-       st.integers(min_value=0, max_value=64))
-def test_power_bits_matches_the_exact_power(b, e):
-    assert intmath.power_bits(b, e) == (b ** e).bit_length()
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 127, 128, 129, 1000, 4096])
-def test_power_bits_near_powers_of_two(length):
-    roots = [_root_64(64 * length + j) for j in (-1, 0, 1)]
-    for b in [1 << length, (1 << length) - 1, (1 << length) + 1, *roots,
-              *(r + 1 for r in roots)]:
-        for e in (1, 2, 63, 64, 65):
-            assert intmath.power_bits(b, e) == (b ** e).bit_length()
 
 
 def _exact_floor_times_pow10(n, k, s):

@@ -93,6 +93,18 @@ CASES = [
     pytest.param(["witness", "--a1", "4096", "--budget-bits", "24", "--n-to", "1", "--d", "5000",
                   "--g1", "5", "--g2", "3"], 0, 32 << 20,
                  id="witness-q-power-refused-before-tail"),
+    # the schedule's introot(a_1, 11000) starts Newton from a bracket of the
+    # root, not from 2**ceil(bits/k), twice the root and thousands of steps off
+    pytest.param(["validate", "--a1", str(2**330000 + 1), "--beta", "1/11000",
+                  "--budget-bits", "33554432", "--n-to", "2"], 2, 40 << 20,
+                 id="validate-root-of-wide-a1"),
+    # the margin's introot at k = 20000, under root_sci_string, likewise
+    pytest.param(["witness", "--n-from", "3", "--n-to", "3", "--d", "30001/10000"], 0, 36 << 20,
+                 id="witness-margin-root-of-degree-20000"),
+    # the tie is read off the bits of gap.lo**v * q**u, without building
+    # 1 << k*v (k*v = 866 million bits at --d 13001/6500)
+    pytest.param(["witness", "--n-from", "4", "--n-to", "4", "--d", "3251/1625"], 0, 40 << 20,
+                 id="witness-tie-without-shift"),
 ]
 
 

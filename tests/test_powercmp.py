@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary.errors import InvalidConfigError
-from lacunary.intmath import primitive_power
+from lacunary.intmath import pow_bracket, primitive_power
 from lacunary.powercmp import (
     Ordering,
     PurePower,
@@ -226,3 +229,40 @@ def test_compare_against_primitive_power_reference(seed=20261018):
         assert d.method == ("common-base" if d.ordering is Ordering.EQUAL else "log-enclosure")
         equal += d.ordering is Ordering.EQUAL
     assert equal >= 20
+
+
+def _root_64(bits: int) -> int:
+    """floor(2**(bits/64)): its 64th power is just under 2**bits."""
+    r = 1 << bits
+    for _ in range(6):
+        r = math.isqrt(r)
+    return r
+
+
+# b**64 just under a power of two, where its 128-bit bracket straddles it
+# and b**64 itself is built
+_STRADDLING = [_root_64(64001), _root_64(8193), (1 << 5000) - 1, (1 << 200) - 1]
+
+
+@pytest.mark.parametrize("b", _STRADDLING)
+def test_bits_builds_the_power_when_the_bracket_straddles(b):
+    lo, hi, _ = pow_bracket(b, 64, 128)
+    assert lo.bit_length() != hi.bit_length()
+    assert PurePower(b, 64).bits() == (b ** 64).bit_length()
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=4096).flatmap(
+           lambda bits: st.integers(min_value=2, max_value=2**bits - 1)),
+       st.integers(min_value=0, max_value=64))
+def test_bits_matches_the_exact_power(b, e):
+    assert PurePower(b, e).bits() == (b ** e).bit_length()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 127, 128, 129, 1000, 4096])
+def test_bits_near_powers_of_two(length):
+    roots = [_root_64(64 * length + j) for j in (-1, 0, 1)]
+    bases = [1 << length, (1 << length) - 1, (1 << length) + 1, *roots, *(r + 1 for r in roots)]
+    for b in (b for b in bases if b > 1):  # PurePower refuses base 1
+        for e in (1, 2, 63, 64, 65):
+            assert PurePower(b, e).bits() == (b ** e).bit_length()
