@@ -78,6 +78,10 @@ MUTANTS = [
            "pass", "_roth_check's gate on gap.hi**v * q**u"),
     Mutant("M22", "src/lacunary/intmath.py", "x = above << s", "x = below << s",
            "introot's bracket start: the greatest m not certainly above the root"),
+    Mutant("M23", "src/lacunary/certjson.py",
+           "divmod(decimal_power(o, a) if o > 1 else 1, G >> t)",
+           "divmod(decimal_power(o, a) if o > 1 else 1, 1)",
+           "the gap bound's denominator: o**a // G_odd"),
 ]
 
 EXPECTED_SURVIVORS = {

@@ -16,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import __version__
+from .errors import InternalError
 from .interval import RationalInterval
-from .intmath import decimal_str, lowest_dyadic
-from .witness import IndexRecord, WitnessCertificate
+from .intmath import decimal_power, decimal_str, exact_decimal, lowest_dyadic
+from .witness import GapBound, IndexRecord, WitnessCertificate
 
 SCHEMA_VERSION = "1"
 
@@ -36,6 +37,25 @@ def dyadic(n: int, k: int) -> dict:
     """rat(n * 2**-k), reduced by `lowest_dyadic` instead of a gcd."""
     m, j = lowest_dyadic(n, k)
     return {"num": decimal_str(m), "den": decimal_str(1 << j)}
+
+
+def gap_bound(b: GapBound) -> dict:
+    """rat(b), its denominator printed from b's unreduced form num /
+    (g2**a * 2**s) without converting an int: num // b.numerator is the
+    gcd G that reduction divided out, and with g2 = 2**z * o (o odd) and G
+    = 2**t * G_odd, the denominator is (o**a // G_odd) * 2**(z*a + s - t),
+    both powers from `decimal_power`."""
+    num, (g, a), s = b.form
+    z = (g & -g).bit_length() - 1
+    o = g >> z
+    G = num // b.numerator
+    t = (G & -G).bit_length() - 1
+    with exact_decimal():
+        odd, r = divmod(decimal_power(o, a) if o > 1 else 1, G >> t)
+        if r:
+            raise InternalError(f"{o}**{a} is not divisible by the gap bound's {G >> t}")
+        den = odd * decimal_power(2, z * a + s - t)
+    return {"num": decimal_str(b.numerator), "den": str(den)}
 
 
 def interval(iv: RationalInterval) -> dict:
@@ -79,7 +99,7 @@ def _record_entry(r: IndexRecord) -> dict:
         "notice": r.notice,
         "convergent": None if r.convergent is None
         else {"p": decimal_str(r.convergent.p), "q": decimal_str(r.convergent.q)},
-        "gap_bound": None if r.gap_bound is None else rat(r.gap_bound),
+        "gap_bound": None if r.gap_bound is None else gap_bound(r.gap_bound),
         "gap": None if r.roth is None else _dyadic_interval(*r.roth.gap),
         "bound_dominates": r.bound_dominates,
         "roth": None if r.roth is None else {

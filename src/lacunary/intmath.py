@@ -107,8 +107,9 @@ def exact_decimal():
 class _PowerTable:
     """Decimal(b**e) by (b, e), kept for the life of the process: the
     certificates of one schedule print the same and nearby powers of two,
-    and the decimal grid's terms of one series take the same powers of 5,
-    2, g and its odd part at every precision.  `bits` is the sum of e *
+    and the same gap-bound powers o**a of g2's odd part; the decimal
+    grid's terms of one series take the same powers of 5, 2, g and its odd
+    part at every precision.  `bits` is the sum of e *
     bits(b - 1) over the keys of `values`, each b**e's width bound (b <=
     2**bits(b - 1); for b = 2 that is e).  `lock` is held by a whole
     lookup or conversion; Decimal arithmetic holds the interpreter lock,
@@ -186,9 +187,10 @@ def decimal_str(n: int) -> str:
 
     It prints the integers born binary: convergents (`cli`) and
     certificates (`certjson`: convergents, gap ends over 2**k and the gap
-    bound).  A certificate schema that wrote the 2**k and g2**a
-    denominators as powers would leave it the convergents and the gap
-    numerators.
+    bound's numerator).  The gap bound's denominator, a power of g2 over
+    a small gcd, prints from `decimal_power`s without it; a schema that
+    wrote the 2**k denominators as powers too would leave it only the
+    convergents and the numerators.
     """
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)
@@ -309,8 +311,8 @@ def _floor_times_pow10(n: int, k: int, s: int) -> int:
 
     10**s = 5**s * 2**s, so this is a product or a quotient by 5**|s| and
     shifts.  5**|s| is first bracketed by `pow_bracket(5, |s|, w)`, w about
-    64 bits more than the result has; 5**|s| itself is built only when the
-    bracket's two ends floor apart.
+    64 bits more than the result has; 5**|s| itself is built, behind its
+    gate, only when the bracket's two ends floor apart.
     """
     m = abs(s)
 
@@ -323,7 +325,7 @@ def _floor_times_pow10(n: int, k: int, s: int) -> int:
     w = max(0, n.bit_length() - k + s * 3322 // 1000) + 2 * m.bit_length() + 64
     lo, hi, t = pow_bracket(5, m, w)
     got = scaled(lo, t)
-    return got if got == scaled(hi, t) else scaled(5 ** m, 0)
+    return got if got == scaled(hi, t) else scaled(gated_pow(5, m), 0)
 
 
 def pow_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:

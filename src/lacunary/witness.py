@@ -163,7 +163,21 @@ def true_gap_enclosure(c: CompositeNumber, n: int, depth: int) -> RationalInterv
     return RationalInterval.dyadic(got.lo, got.hi, got.j)
 
 
-def gap_bound(c: CompositeNumber, n: int) -> Fraction:
+class GapBound(Fraction):
+    """A gap bound num / (g2**a * 2**shift) as a `Fraction` in lowest
+    terms.  `form` keeps it unreduced, as (num, PurePower(g2, a), shift),
+    so that `certjson` prints the denominator from powers of g2's parts
+    instead of converting the reduced integer."""
+
+    __slots__ = ("form",)
+
+    def __new__(cls, num: int, power: PurePower, shift: int):
+        self = super().__new__(cls, num, gated_pow(*power) << shift)
+        self.form = (num, power, shift)
+        return self
+
+
+def gap_bound(c: CompositeNumber, n: int) -> GapBound:
     """Certified rational upper bound on |value - convergent_n|, a multiple
     of tail = 2/g2**a_{n+1}, the upper end of `c.s2.tail_sandwich(n)`.
 
@@ -172,12 +186,12 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     theta_j.  quotient (n >= 2 only): tail*(1 + 2*g2**a1)*g2**a1, using
     the exact lower bound theta_{n,2} > g2**(-a1).
     """
-    tail = c.s2.tail_sandwich(n)[1]
+    power = PurePower(c.g2, c.schedule.exponent(n + 1))  # 2/power is the tail
     if c.op in (Op.SUM, Op.DIFFERENCE):
-        return 2 * tail
+        return GapBound(4, power, 0)
     if c.op is Op.PRODUCT:  # theta_j < h_j * 2**-GUARD_BITS
         h1, h2 = c.s1.on_grid(GUARD_BITS).hi, c.s2.on_grid(GUARD_BITS).hi
-        return tail * Fraction((1 << GUARD_BITS) + h1 + h2, 1 << GUARD_BITS)
+        return GapBound(2 * ((1 << GUARD_BITS) + h1 + h2), power, GUARD_BITS)
     # quotient
     if n < 2:
         raise InvalidConfigError("n", "quotient gap bound requires n >= 2")
@@ -186,7 +200,7 @@ def gap_bound(c: CompositeNumber, n: int) -> Fraction:
     if not ps2.p * inv_up > ps2.q:
         raise InternalError(
             f"partial sum of the second series at n={n} is not above 1/{inv_up}")
-    return tail * ((1 + 2 * inv_up) * inv_up)
+    return GapBound(2 * (1 + 2 * inv_up) * inv_up, power, 0)
 
 
 class ThresholdCheck(namedtuple("ThresholdCheck", "n passed")):
@@ -336,7 +350,7 @@ class IndexRecord(namedtuple("IndexRecord", "n error notice convergent gap_bound
                              "bound_dominates roth exponent_interval forms",
                              defaults=(None,) * 8)):
     """What `certify` found at index n: an `error` (a refusal) and a
-    `notice`, or the `Convergent`, the `gap_bound` (a Fraction), the
+    `notice`, or the `Convergent`, the `gap_bound` (a `GapBound`), the
     `RothCheck`, the exponent `RationalInterval` and, for the quotient,
     the `QuotientForms`.  `bound_dominates` cross-checks roth.gap's hi <=
     gap_bound.  Every field but n defaults to None."""

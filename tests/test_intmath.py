@@ -438,6 +438,22 @@ def test_floor_log10_rejects_non_positive_and_negative_shift():
             floor_log10(n, k)
 
 
+def test_floor_times_pow10_gates_its_exact_power(monkeypatch):
+    # 4**e <= 5**e <= 8**e: a valid bracket too loose to decide any floor,
+    # so that 5**m is built, behind its gate
+    monkeypatch.setattr(intmath, "pow_bracket", lambda b, e, w: (1, 1 << e, 2 * e))
+    with mock.patch.object(intmath, "gated_pow", wraps=intmath.gated_pow) as built:
+        for n, k, s in ((3, 0, 1), (12345, 40, 25), (7 << 90, 90, 300), (1, 3000, 1000),
+                        ((1 << 200) + 1, 100, -30), (10**50 + 1, 7, -40)):
+            want = math.floor(Fraction(n, 1 << k) * Fraction(10) ** s)
+            assert intmath._floor_times_pow10(n, k, s) == want, (n, k, s)
+            assert built.call_args.args == (5, abs(s))
+        # just over the cap, refused before it is built
+        m = MATERIALIZE_BITS // 3 + 1
+        with pytest.raises(ExponentBudgetExceeded, match=r"5\*\*"):
+            intmath._floor_times_pow10(1, 3 * m, m)
+
+
 def test_sci_string_examples():
     # the plain scientific form is root_sci_string with v = 1
     assert root_sci_string(2, 0, 1, 4) == "2.000e+0"

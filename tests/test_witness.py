@@ -17,13 +17,14 @@ from lacunary.errors import (
 )
 from lacunary.interval import RationalInterval
 from lacunary.logenc import _GUARD, ln_fraction_interval, ln_int_interval
-from lacunary.powercmp import Ordering
+from lacunary.powercmp import Ordering, PurePower
 from lacunary.schedule import PowerSchedule
-from lacunary import intmath, series, witness
+from lacunary import certjson, intmath, series, witness
 from lacunary.intmath import exact_decimal
 from lacunary.series import BINARY, DECIMAL, Convergent, Enclosure, LacunarySeries, format_fixed
 from lacunary.witness import (
     CompositeNumber,
+    GapBound,
     Op,
     certify,
     composite_convergent,
@@ -201,6 +202,48 @@ def test_quotient_forms_match_built_powers(g1, g2):
                           < (4 * ((1 << 64) + h2)) ** dv * den**dv)
                 got = witness._quotient_display_forms(c, n, hi, k, d)
                 assert (got.q_denominator_form, got.p_denominator_form) == (q_form, p_form)
+
+
+def test_gap_bound_prints_from_its_powers_as_rat_prints_it():
+    # certjson's route (o**a // G_odd, times a power of two) against rat's
+    # conversion of the reduced Fraction, which decimal_str prints as str
+    # would (test_decimal_str_matches_str): every pair g1 > g2 in 2..12,
+    # every op, and every n the default budget allows
+    cases = odd_gcds = 0
+    rats = {}
+    # the default budget holds a_{n+1} up to 65536, 6561 and 65536 at n = last
+    for a1, last in ((2, 4), (3, 3), (4, 3)):
+        sched = PowerSchedule(a1, Fraction(1))
+        with pytest.raises(ExponentBudgetExceeded):
+            sched.exponent(last + 2)
+        for g2 in range(2, 12):
+            s2 = LacunarySeries(g2, sched)
+            for g1 in range(g2 + 1, 13):
+                s1 = LacunarySeries(g1, sched)
+                for op in Op:
+                    c = CompositeNumber(op, s1, s2)
+                    for n in range(2 if op is Op.QUOTIENT else 1, last + 1):
+                        f = gap_bound(c, n)
+                        if f not in rats:  # only the product's bound depends on g1
+                            rats[f] = certjson.rat(f)
+                        entry = certjson._record_entry(witness.IndexRecord(n, gap_bound=f))
+                        assert entry["gap_bound"] == rats[f], (op, g1, g2, a1, n)
+                        G = f.form[0] // f.numerator
+                        if op is Op.QUOTIENT:  # the numerator's g2**a1 divides g2**a_{n+1}
+                            assert G % g2**a1 == 0
+                        odd_gcds += G >> (G & -G).bit_length() - 1 > 1
+                        cases += 1
+    assert cases == 2035 and odd_gcds > 0
+
+
+def test_gap_bound_refuses_a_form_it_cannot_divide():
+    # a forged form: 25 / (3**2 * 2) is not f, and its G = 25 // 5 does not
+    # divide 3**2
+    f = GapBound(5, PurePower(3, 2), 1)
+    f.form = (25, PurePower(3, 2), 1)
+    assert f == Fraction(5, 18)
+    with pytest.raises(InternalError):
+        certjson.gap_bound(f)
 
 
 @pytest.mark.parametrize("op", list(Op))
