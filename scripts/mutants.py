@@ -79,9 +79,11 @@ MUTANTS = [
     Mutant("M22", "src/lacunary/intmath.py", "x = above << s", "x = below << s",
            "introot's bracket start: the greatest m not certainly above the root"),
     Mutant("M23", "src/lacunary/certjson.py",
-           "divmod(decimal_power(o, a) if o > 1 else 1, G >> t)",
-           "divmod(decimal_power(o, a) if o > 1 else 1, 1)",
-           "the gap bound's denominator: o**a // G_odd"),
+           "divmod(decimal_power(g, a) * decimal_power(2, s), G)",
+           "divmod(decimal_power(g, a) * decimal_power(2, s), 1)",
+           "the gap bound's denominator: g2**a * 2**s // G"),
+    Mutant("M24", "src/lacunary/__main__.py", "except MemoryError:", "except ArithmeticError:",
+           "python -m lacunary's out-of-memory exit while cli imports"),
 ]
 
 EXPECTED_SURVIVORS = {

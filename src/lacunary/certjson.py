@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import InternalError
 from .interval import RationalInterval
-from .intmath import decimal_power, decimal_str, exact_decimal, lowest_dyadic
+from .intmath import decimal_power, decimal_str, exact_decimal, int_label, lowest_dyadic
 from .witness import GapBound, IndexRecord, WitnessCertificate
 
 SCHEMA_VERSION = "1"
@@ -34,27 +34,24 @@ def rat(x) -> dict:
 
 
 def dyadic(n: int, k: int) -> dict:
-    """rat(n * 2**-k), reduced by `lowest_dyadic` instead of a gcd."""
+    """rat(n * 2**-k), reduced by `lowest_dyadic` instead of a gcd, its
+    denominator 2**j printed from `decimal_power`."""
     m, j = lowest_dyadic(n, k)
-    return {"num": decimal_str(m), "den": decimal_str(1 << j)}
+    return {"num": decimal_str(m), "den": str(decimal_power(2, j))}
 
 
 def gap_bound(b: GapBound) -> dict:
     """rat(b), its denominator printed from b's unreduced form num /
     (g2**a * 2**s) without converting an int: num // b.numerator is the
-    gcd G that reduction divided out, and with g2 = 2**z * o (o odd) and G
-    = 2**t * G_odd, the denominator is (o**a // G_odd) * 2**(z*a + s - t),
-    both powers from `decimal_power`."""
+    gcd G that reduction divided out, and the denominator is g2**a * 2**s
+    // G, both powers from `decimal_power`."""
     num, (g, a), s = b.form
-    z = (g & -g).bit_length() - 1
-    o = g >> z
     G = num // b.numerator
-    t = (G & -G).bit_length() - 1
     with exact_decimal():
-        odd, r = divmod(decimal_power(o, a) if o > 1 else 1, G >> t)
+        den, r = divmod(decimal_power(g, a) * decimal_power(2, s), G)
         if r:
-            raise InternalError(f"{o}**{a} is not divisible by the gap bound's {G >> t}")
-        den = odd * decimal_power(2, z * a + s - t)
+            raise InternalError(f"{g}**{a} * 2**{s} is not divisible by the gap bound's "
+                                f"{int_label(G)}")
     return {"num": decimal_str(b.numerator), "den": str(den)}
 
 

@@ -31,6 +31,7 @@ from .errors import (
     InvalidConfigError,
     NonIntegralExponent,
     NotFound,
+    OUT_OF_MEMORY,
     PrecisionUnattainable,
     TieEncountered,
 )
@@ -389,8 +390,7 @@ def main(argv=None) -> int:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print("budget error: out of memory: this input needs more than the process's "
-              "memory limit allows", file=sys.stderr)
+        print(OUT_OF_MEMORY, file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -50,3 +50,9 @@ class TieEncountered(LacunaryError):
 
 class InternalError(LacunaryError):
     """An internal invariant was violated; results must not be trusted."""
+
+
+# The one line a command prints, exiting 3, when the process runs out of
+# memory: from `cli.main`, or from `python -m lacunary` while `cli` imports.
+OUT_OF_MEMORY = ("budget error: out of memory: this input needs more than the process's "
+                 "memory limit allows")

@@ -107,13 +107,13 @@ def exact_decimal():
 class _PowerTable:
     """Decimal(b**e) by (b, e), kept for the life of the process: the
     certificates of one schedule print the same and nearby powers of two,
-    and the same gap-bound powers o**a of g2's odd part; the decimal
-    grid's terms of one series take the same powers of 5, 2, g and its odd
-    part at every precision.  `bits` is the sum of e *
-    bits(b - 1) over the keys of `values`, each b**e's width bound (b <=
-    2**bits(b - 1); for b = 2 that is e).  `lock` is held by a whole
-    lookup or conversion; Decimal arithmetic holds the interpreter lock,
-    so threads lose no parallelism by it.
+    and the same gap-bound powers g2**a; the decimal grid's terms of one
+    series take the same powers of 5, 2, g and its odd part at every
+    precision.  `bits` is the sum of e * bits(b - 1) over the keys of
+    `values`, each b**e's width bound (b <= 2**bits(b - 1); for b = 2 that
+    is e).  `lock` is held by a whole lookup or conversion; Decimal
+    arithmetic holds the interpreter lock, so threads lose no parallelism
+    by it.
     """
 
     __slots__ = ("values", "bits", "lock")
@@ -185,12 +185,11 @@ def decimal_str(n: int) -> str:
     context.  Every power of two comes from `decimal_power`
     (`_PowerTable.power` states its reuse rule and its bound).
 
-    It prints the integers born binary: convergents (`cli`) and
-    certificates (`certjson`: convergents, gap ends over 2**k and the gap
-    bound's numerator).  The gap bound's denominator, a power of g2 over
-    a small gcd, prints from `decimal_power`s without it; a schema that
-    wrote the 2**k denominators as powers too would leave it only the
-    convergents and the numerators.
+    It prints the integers born binary: convergents (`cli`, `certjson`)
+    and the certificate's numerators and config rationals.  The
+    certificate's denominators that are powers, 2**j of a gap end and
+    g2**a * 2**s over a gcd of the gap bound, print from `decimal_power`
+    without it.
     """
     if n.bit_length() <= STR_CUTOVER_BITS:
         return str(n)

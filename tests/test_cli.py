@@ -410,6 +410,15 @@ def test_package_exports_resolve():
             exec(f"from lacunary import {name}", {})
 
 
+def test_package_import_loads_no_submodule():
+    # each export is imported on first use; -S, because a site-packages .pth
+    # hook may import modules before lacunary runs
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys, lacunary; print(*sys.modules)"],
+                          capture_output=True, text=True, env=CLI_ENV, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert [name for name in proc.stdout.split() if name.startswith("lacunary.")] == []
+
+
 def test_rationals_reparse_exactly(capsys):
     code, out, _ = run_cli(capsys, "witness")
     doc = json.loads(out)

@@ -116,11 +116,19 @@ def test_finishes_within_bound(argv, code, tight_cap):
         assert "Traceback" not in proc.stderr
 
 
-def test_running_out_of_memory_is_a_budget_error():
-    # under 60 MB of address space the 15.5 MB certificate of
-    # `witness-terms-that-floor-to-0` does not fit (it exits 0 at 100 MB):
-    # one `budget error:` line and exit 3, not a MemoryError traceback
-    proc = run_capped(["witness", "--budget-bits", "25", "--a1", "64", "--op", "sum"], 60 << 20)
+_ARGV = {case.id: case.values[0] for case in CASES}
+
+
+# Out of memory, a command exits 3 with one `budget error:` line, not a
+# MemoryError traceback.  Under 60 MB the 15.5 MB certificate of
+# `witness-terms-that-floor-to-0` does not fit (it exits 0 at 100 MB), so
+# `cli.main` runs out; under 20 MB the huge-bases inputs run out while
+# `python -m lacunary` still imports `cli`.
+@pytest.mark.parametrize("case, cap", [("witness-terms-that-floor-to-0", 60 << 20),
+                                       ("digits-huge-bases", 20 << 20),
+                                       ("witness-huge-bases", 20 << 20)])
+def test_running_out_of_memory_is_a_budget_error(case, cap):
+    proc = run_capped(_ARGV[case], cap)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stderr.startswith("budget error: ") and proc.stderr.count("\n") == 1
 

@@ -205,7 +205,7 @@ def test_quotient_forms_match_built_powers(g1, g2):
 
 
 def test_gap_bound_prints_from_its_powers_as_rat_prints_it():
-    # certjson's route (o**a // G_odd, times a power of two) against rat's
+    # certjson's route (g2**a * 2**s // G, from Decimal powers) against rat's
     # conversion of the reduced Fraction, which decimal_str prints as str
     # would (test_decimal_str_matches_str): every pair g1 > g2 in 2..12,
     # every op, and every n the default budget allows
